@@ -6,11 +6,13 @@ cd "$(dirname "$0")"
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== cargo test -q =="
-cargo test -q
+echo "== cargo test -q --workspace =="
+# Every workspace package, not just the root facade: the apgas, gml-core,
+# gml-matrix, gml-apps and gml-bench suites (and the vendored shims).
+cargo test -q --workspace
 
-echo "== cargo clippy --all-targets -- -D warnings =="
-cargo clippy --all-targets -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== trace smoke =="
 # A traced example run must leave behind a valid, non-empty Chrome trace;
@@ -132,6 +134,7 @@ echo "== bench regress (fresh bench_json vs committed baselines) =="
 # override with GML_BENCH_TOLERANCE). Files stamped at a different worker
 # width than this host are skipped — regenerate baselines with bench_json
 # at the repo root when a perf change is intentional.
+cargo build --release -p gml-bench --bin bench_json
 BENCH_DIR="$(mktemp -d -t gml_bench_regress_XXXXXX)"
 trap 'rm -f "$TRACE_JSON"; rm -rf "$TASK_DIR" "$PARITY_DIR" "$CKPT_DIR" "$BENCH_DIR"' EXIT
 ( cd "$BENCH_DIR" && "$OLDPWD/target/release/bench_json" > /dev/null )

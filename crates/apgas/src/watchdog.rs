@@ -14,17 +14,13 @@
 //! (`gml_iter_critical_path_nanos`, `gml_straggler_ratio`,
 //! `gml_watchdog_anomalies_total`).
 //!
-//! Tuning knobs (all parsed loudly via
-//! [`env_parsed`](crate::monitor::env_parsed)):
-//!
-//! | variable | default | meaning |
-//! |---|---|---|
-//! | `GML_WATCHDOG_ALPHA` | `0.2` | EWMA smoothing factor |
-//! | `GML_WATCHDOG_FACTOR` | `2.0` | regression threshold multiplier |
-//! | `GML_WATCHDOG_WARMUP` | `3` | iterations observed before flagging |
-//! | `GML_WATCHDOG_BACKLOG_MIN` | `8` | mailbox depth below which growth is ignored |
-//! | `GML_WATCHDOG_BACKLOG_RUNS` | `3` | consecutive growth observations before an alarm |
-//! | `GML_MEM_BUDGET` | `0` (off) | process heap budget in bytes for memory-pressure alarms |
+//! The runtime's watchdog uses fixed tuning: EWMA smoothing factor 0.2,
+//! regression threshold 2.0 × EWMA after a 3-iteration warm-up, and a
+//! backlog alarm after 3 consecutive growth observations at least 8 deep.
+//! [`Watchdog::new`] takes explicit EWMA tuning for tests and simulations.
+//! One environment knob remains, parsed loudly via
+//! [`env_parsed`](crate::monitor::env_parsed): `GML_MEM_BUDGET`, the process
+//! heap budget in bytes for memory-pressure alarms (default `0`, off).
 //!
 //! With a nonzero `GML_MEM_BUDGET`, [`Watchdog::observe_memory`] samples
 //! the live heap level once per executor iteration and raises a
@@ -38,6 +34,17 @@ use parking_lot::Mutex;
 
 use crate::monitor::{env_parsed, HealthSnapshot};
 use crate::trace::critical_path::IterProfile;
+
+/// EWMA smoothing factor of the runtime's watchdog.
+const ALPHA: f64 = 0.2;
+/// Regression threshold multiplier of the runtime's watchdog.
+const FACTOR: f64 = 2.0;
+/// Iterations the runtime's watchdog observes before flagging.
+const WARMUP: u64 = 3;
+/// Mailbox depth below which backlog growth is ignored.
+const BACKLOG_MIN: u64 = 8;
+/// Consecutive growth observations before a backlog alarm.
+const BACKLOG_RUNS: u32 = 3;
 
 /// Mutable trend state, behind one short-lived lock (the watchdog is
 /// sampled once per executor iteration, not on the task hot path).
@@ -64,8 +71,6 @@ pub struct Watchdog {
     alpha: f64,
     factor: f64,
     warmup: u64,
-    backlog_min: u64,
-    backlog_runs: u32,
     /// Process heap budget in bytes; 0 disables memory-pressure alarms.
     mem_budget: u64,
     state: Mutex<WatchState>,
@@ -107,8 +112,6 @@ impl Watchdog {
             alpha: alpha.clamp(0.01, 1.0),
             factor: factor.max(1.0),
             warmup,
-            backlog_min: 8,
-            backlog_runs: 3,
             mem_budget: 0,
             state: Mutex::new(WatchState::default()),
             regressions: AtomicU64::new(0),
@@ -124,21 +127,10 @@ impl Watchdog {
         self
     }
 
-    /// Build a watchdog from the `GML_WATCHDOG_*` environment knobs. The
-    /// float knobs go through the validated parse: `f64::from_str` accepts
-    /// `nan`/`inf`/out-of-range values that [`Watchdog::new`]'s clamps would
-    /// otherwise swallow silently (and `NaN.clamp(..)` stays NaN, poisoning
-    /// the EWMA forever).
+    /// The runtime's watchdog: the default tuning, with the memory budget
+    /// read from `GML_MEM_BUDGET`.
     pub fn from_env() -> Self {
-        let mut w = Watchdog::new(
-            crate::monitor::env_parsed_float("GML_WATCHDOG_ALPHA", 0.2, 0.01, 1.0),
-            crate::monitor::env_parsed_float("GML_WATCHDOG_FACTOR", 2.0, 1.0, 1e6),
-            env_parsed("GML_WATCHDOG_WARMUP", 3u64),
-        );
-        w.backlog_min = env_parsed("GML_WATCHDOG_BACKLOG_MIN", 8u64);
-        w.backlog_runs = env_parsed("GML_WATCHDOG_BACKLOG_RUNS", 3u32);
-        w.mem_budget = env_parsed("GML_MEM_BUDGET", 0u64);
-        w
+        Watchdog::new(ALPHA, FACTOR, WARMUP).with_mem_budget(env_parsed("GML_MEM_BUDGET", 0u64))
     }
 
     /// Feed one iteration profile. Returns `true` when the iteration's wall
@@ -166,8 +158,8 @@ impl Watchdog {
     }
 
     /// Feed one round of per-place heartbeat snapshots. Returns the first
-    /// place whose mailbox depth has now grown for `backlog_runs`
-    /// consecutive observations while at least `backlog_min` deep —
+    /// place whose mailbox depth has now grown for `BACKLOG_RUNS`
+    /// consecutive observations while at least `BACKLOG_MIN` deep —
     /// the signature of a dispatcher that stopped keeping up.
     pub fn observe_backlog(&self, snaps: &[HealthSnapshot]) -> Option<u32> {
         let mut st = self.state.lock();
@@ -178,13 +170,13 @@ impl Watchdog {
         let mut flagged = None;
         for s in snaps {
             let slot = &mut st.backlog[s.place as usize];
-            if s.mailbox_depth > slot.0 && s.mailbox_depth >= self.backlog_min {
+            if s.mailbox_depth > slot.0 && s.mailbox_depth >= BACKLOG_MIN {
                 slot.1 += 1;
             } else {
                 slot.1 = 0;
             }
             slot.0 = s.mailbox_depth;
-            if slot.1 >= self.backlog_runs {
+            if slot.1 >= BACKLOG_RUNS {
                 slot.1 = 0; // re-arm: a persisting backlog alarms again later
                 if flagged.is_none() {
                     flagged = Some(s.place);
@@ -372,28 +364,6 @@ mod tests {
         assert!(out.contains("gml_watchdog_anomalies_total{kind=\"iter_regression\"} 0"));
         assert!(out.contains("gml_watchdog_anomalies_total{kind=\"backlog_growth\"} 0"));
         assert!(out.contains("gml_watchdog_anomalies_total{kind=\"memory_pressure\"} 0"));
-    }
-
-    #[test]
-    fn from_env_rejects_poisonous_float_knobs() {
-        // "nan" and "inf" PARSE as f64, and NaN survives Watchdog::new's
-        // clamp — the EWMA would be poisoned forever. from_env must route
-        // through the validated float parse and fall back to the defaults.
-        // Unique values are restored immediately; concurrent from_env
-        // callers would at worst see the (default-equal) fallback.
-        std::env::set_var("GML_WATCHDOG_ALPHA", "nan");
-        std::env::set_var("GML_WATCHDOG_FACTOR", "inf");
-        let w = Watchdog::from_env();
-        std::env::remove_var("GML_WATCHDOG_ALPHA");
-        std::env::remove_var("GML_WATCHDOG_FACTOR");
-        assert_eq!(w.alpha, 0.2, "nan alpha must fall back to the default");
-        assert_eq!(w.factor, 2.0, "inf factor must fall back to the default");
-        // The EWMA stays healthy: iterations are observed and flagged
-        // normally instead of vanishing into NaN comparisons.
-        for i in 0..5 {
-            assert!(!w.observe_iteration(&profile(i, 1_000_000)));
-        }
-        assert!(w.observe_iteration(&profile(5, 10_000_000)));
     }
 
     #[test]

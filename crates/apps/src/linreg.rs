@@ -95,8 +95,12 @@ impl LinReg {
         Ok(LinReg { cfg, group: group.clone(), x, y, w, r, p, q, tmp, rho })
     }
 
-    /// One CG iteration.
+    /// One CG iteration. A no-op once the residual is exactly zero, where
+    /// the next `beta` would be 0/0.
     pub fn iterate_once(&mut self, ctx: &Ctx) -> GmlResult<()> {
+        if self.rho == 0.0 {
+            return Ok(()); // converged exactly
+        }
         self.x.mult(ctx, &self.tmp, &self.p)?; //      tmp = X·p
         self.x.mult_trans(ctx, &self.q, &self.tmp)?; // q = Xᵀ·tmp
         self.q.axpy_all(ctx, self.cfg.lambda, &self.p)?; // q += λ·p
@@ -238,6 +242,32 @@ mod tests {
             );
             // And CG on noiseless data recovers the hidden weights.
             assert!(w.max_abs_diff(&w_star) < 1e-5);
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn iterating_past_exact_convergence_keeps_weights_finite() {
+        // ‖r‖² underflows to exactly 0 well before iteration 80; the
+        // passes after it must leave the converged weights alone.
+        Runtime::run(RuntimeConfig::new(2).resilient(true), |ctx| {
+            let cfg = LinRegConfig {
+                examples_per_place: 200,
+                features: 10,
+                iterations: 80,
+                lambda: 1e-6,
+                seed: 1010,
+            };
+            let (w, _) = LinReg::run_simple(ctx, cfg, &ctx.world()).unwrap();
+            assert!(w.as_slice().iter().all(|v| v.is_finite()), "weights {w:?}");
+            let (x, w_star) = reference::training_matrix(400, cfg.features, cfg.seed);
+            let y = x.mult_vec(&w_star);
+            let expect = reference::linreg_cg(&x, &y, cfg.lambda, cfg.iterations as usize);
+            assert!(
+                w.max_abs_diff(&expect) < 1e-8,
+                "distributed CG ≈ sequential CG (diff {})",
+                w.max_abs_diff(&expect)
+            );
         })
         .unwrap();
     }

@@ -86,9 +86,6 @@ pub enum CodecMode {
     /// the raw capture bytes (the pre-codec store behavior, and the
     /// reference leg of the checkpoint-parity drill).
     Raw,
-    /// Frame every entry but never emit deltas (full base every epoch).
-    /// Compression still applies per `level`.
-    Full,
     /// Emit delta frames against the last committed/provisional snapshot
     /// when eligible, full bases otherwise.
     Delta,
@@ -97,7 +94,7 @@ pub enum CodecMode {
 /// Codec knobs, normally read from the `GML_CKPT_*` environment.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CodecConfig {
-    /// Frame emission mode (`GML_CKPT_CODEC` = `raw` | `full` | `delta`).
+    /// Frame emission mode (`GML_CKPT_CODEC` = `raw` | `delta`).
     pub mode: CodecMode,
     /// Compression level (`GML_CKPT_LEVEL`): 0 stores chunks raw, 1 applies
     /// XOR-residual byte-plane RLE.
@@ -136,7 +133,6 @@ impl CodecConfig {
     pub fn from_env() -> Self {
         let mode = match env_parsed::<String>("GML_CKPT_CODEC", "delta".into()).as_str() {
             "raw" => CodecMode::Raw,
-            "full" => CodecMode::Full,
             _ => CodecMode::Delta,
         };
         let level = env_parsed::<u64>("GML_CKPT_LEVEL", 1).min(1) as u8;
@@ -160,11 +156,10 @@ impl CodecConfig {
     }
 
     /// One-line config stamp for bench metadata and skip-with-reason
-    /// comparisons: `"delta"`, `"full"`, `"raw"`.
+    /// comparisons: `"delta"`, `"raw"`.
     pub fn mode_label(&self) -> &'static str {
         match self.mode {
             CodecMode::Raw => "raw",
-            CodecMode::Full => "full",
             CodecMode::Delta => "delta",
         }
     }

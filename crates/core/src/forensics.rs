@@ -32,13 +32,13 @@ const PATH_ROWS: usize = 8;
 
 /// Why the executor restored the way it did: the configured mode, what
 /// actually happened (fallbacks included), and the inputs to that decision.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RestoreDecision {
     /// The [`RestoreMode`](crate::framework::RestoreMode) label the executor
     /// was configured with.
     pub configured_mode: &'static str,
     /// The label of what actually ran — differs from `configured_mode` when
-    /// a replace mode fell back to a shrink variant. Matches the label on
+    /// a replace mode fell back to shrink. Matches the label on
     /// the corresponding `exec.restore` trace span by construction.
     pub effective_label: &'static str,
     /// Whether the data grid was repartitioned.

@@ -1,21 +1,28 @@
 //! The resilient iterative-application framework (§V of the paper):
 //! the programming model ([`ResilientIterativeApp`]) and the executor
-//! ([`ResilientExecutor`]) with its three restoration modes.
+//! ([`ResilientExecutor`]) with its restoration modes.
 //!
-//! The executor applies **coordinated checkpoint/restart**: every
-//! `checkpoint_interval` iterations the application saves a consistent
-//! snapshot of all its GML objects through [`AppResilientStore`]; when a
-//! place failure surfaces (as a recoverable [`GmlError`] from any collective
-//! operation), the executor picks a new place group according to the
-//! configured [`RestoreMode`], rolls the application back to the last
-//! committed snapshot, and resumes from that iteration.
+//! The executor applies **coordinated checkpoint/restart** in the shape of
+//! X10's `SPMDResilientIterativeExecutor` loop (`isFinished` / `step` /
+//! checkpoint / `restore`). Until the app is finished, each loop pass runs
+//! one fallible phase sequence: verify the recorded output digest,
+//! checkpoint (every `checkpoint_interval` iterations, or Young's
+//! interval), step, record the new digest. A recoverable [`GmlError`] from
+//! any phase — a place death, or a detected silent error — reaches one
+//! `match` that recovers: pick a new place group according to the
+//! configured [`RestoreMode`], roll the application back to the last
+//! committed snapshot, and resume from that iteration. Each phase's wall
+//! time is read once and charged to the pass's [`IterRow`] and the run's
+//! [`RunStats`] together.
 
 use std::time::{Duration, Instant};
 
 use apgas::prelude::*;
+use apgas::stats::StatsSnapshot;
 use apgas::trace::critical_path;
 
 use crate::app_store::AppResilientStore;
+use crate::codec::CodecSnapshot;
 use crate::error::{GmlError, GmlResult};
 use crate::forensics::{PostMortem, RestoreDecision};
 use crate::report::{CostReport, IterRow, RestoreCost};
@@ -30,8 +37,8 @@ pub enum RestoreMode {
     /// even load (overlap-copy restore, higher restore cost).
     ShrinkRebalance,
     /// Substitute a pre-allocated spare place for each failed one, keeping
-    /// both the group size and the load distribution. Falls back to a
-    /// shrink variant when the spares run out.
+    /// both the group size and the load distribution. Falls back to plain
+    /// shrink when the spares run out.
     ReplaceRedundant,
     /// Dynamically create a brand-new place for each failed one (the
     /// paper's planned fourth mode, built on Elastic X10's dynamic place
@@ -61,9 +68,6 @@ pub struct ExecutorConfig {
     pub checkpoint_interval: u64,
     /// The restoration mode.
     pub mode: RestoreMode,
-    /// When `ReplaceRedundant` runs out of spares: rebalance (`true`) or
-    /// plain shrink (`false`) — the user choice the paper mentions.
-    pub fallback_rebalance: bool,
     /// Give up after this many restores.
     pub max_restores: u32,
     /// When set, the executor *adapts* the checkpoint interval with Young's
@@ -88,7 +92,6 @@ impl ExecutorConfig {
         ExecutorConfig {
             checkpoint_interval,
             mode,
-            fallback_rebalance: false,
             max_restores: 8,
             mttf: None,
             overlap_ship: true,
@@ -183,7 +186,9 @@ pub trait ChecksummedStep {
 }
 
 /// Wall-clock breakdown of one executor run — the raw material for the
-/// paper's Table IV (checkpoint% / restore% of total time).
+/// paper's Table IV (checkpoint% / restore% of total time). Each duration
+/// except `total_time` is the sum of the matching column of the run's
+/// [`CostReport`] rows.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RunStats {
     /// Completed iterations, counting re-executed ones after rollbacks.
@@ -209,7 +214,7 @@ pub struct RunStats {
     /// silent-error detection (zero when the app opted out of
     /// [`ChecksummedStep`]).
     pub detect_time: Duration,
-    /// Wall time spent restoring.
+    /// Wall time spent recovering: the sum of every [`RestoreCost::time`].
     pub restore_time: Duration,
     /// Wall time of the whole run.
     pub total_time: Duration,
@@ -231,6 +236,82 @@ impl RunStats {
 /// restoring as needed (§V-A3).
 pub struct ResilientExecutor {
     cfg: ExecutorConfig,
+}
+
+/// The executor's loop state: what every phase and `recover` read and
+/// advance.
+struct RunState {
+    group: PlaceGroup,
+    iteration: u64,
+    restores_left: u32,
+    /// The current checkpoint interval (Young's formula may adapt it).
+    interval: u64,
+    next_checkpoint: u64,
+    /// Silent-error screen: the digest recorded the last time a step
+    /// produced output, as `(iteration, digest)`. Verified just before the
+    /// next checkpoint commits; `None` when the app opted out or the state
+    /// was rolled back since.
+    recorded: Option<(u64, u64)>,
+    stats: RunStats,
+    /// Rows and bundles so far; the totals are filled in at the end.
+    report: CostReport,
+    /// Counter snapshots at the last row boundary, shared with the next row
+    /// so no counter tick is ever double-counted or lost.
+    prev_snap: StatsSnapshot,
+    prev_codec: CodecSnapshot,
+}
+
+impl RunState {
+    /// Finish a report row: charge it the counter deltas since the previous
+    /// row boundary.
+    fn close_row(&mut self, ctx: &Ctx, mut row: IterRow) {
+        let now = ctx.stats();
+        row.delta = now.since(&self.prev_snap);
+        self.prev_snap = now;
+        // Codec counters are process-global but sampled at the same shared
+        // boundaries, so the rows' logical/wire/codec-time columns telescope
+        // to the report's codec totals too.
+        let now_codec = crate::codec::counters();
+        let codec_delta = now_codec.since(&self.prev_codec);
+        self.prev_codec = now_codec;
+        row.ckpt_logical = codec_delta.logical_bytes;
+        row.ckpt_wire = codec_delta.wire_bytes;
+        row.codec_time =
+            Duration::from_nanos(codec_delta.encode_nanos + codec_delta.decode_nanos);
+        // Memory levels are read at the same boundary, so each row's level
+        // is the next row's starting point. Both are 0 with `mem-profile`
+        // off.
+        row.resident = apgas::mem::heap_bytes();
+        row.ckpt_bytes = apgas::mem::current(apgas::mem::MemTag::StoreShard);
+        self.report.rows.push(row);
+    }
+}
+
+/// Run one phase, reading its wall time once and charging it to the pass's
+/// row column and the run's matching [`RunStats`] field together.
+fn timed<T>(col: &mut Duration, total: &mut Duration, phase: impl FnOnce() -> T) -> T {
+    let t = Instant::now();
+    let out = phase();
+    charge(col, total, t.elapsed());
+    out
+}
+
+fn charge(col: &mut Duration, total: &mut Duration, d: Duration) {
+    *col += d;
+    *total += d;
+}
+
+/// Charge the store's accumulated two-phase split to `row` and the run
+/// totals. Ship time is harvested when ship threads are joined, so with
+/// overlap on it mostly belongs to the *previous* checkpoint's transfers.
+fn harvest(store: &mut AppResilientStore, row: &mut IterRow, stats: &mut RunStats) {
+    let (capture, ship) = store.take_phases();
+    if capture > Duration::ZERO {
+        charge(row.capture.get_or_insert_default(), &mut stats.capture_time, capture);
+    }
+    if ship > Duration::ZERO {
+        charge(row.ship.get_or_insert_default(), &mut stats.ship_time, ship);
+    }
 }
 
 impl ResilientExecutor {
@@ -258,7 +339,8 @@ impl ResilientExecutor {
     /// in step / checkpoint / restore and the runtime counter deltas (ctl
     /// messages, codec time, bytes shipped and received) that pass consumed.
     /// Row boundary snapshots are shared, so the rows sum to exactly the
-    /// report's totals.
+    /// report's totals, and each timed column sums to exactly its
+    /// [`RunStats`] field.
     pub fn run_reported<A: ResilientIterativeApp>(
         &self,
         ctx: &Ctx,
@@ -266,263 +348,150 @@ impl ResilientExecutor {
         initial_places: &PlaceGroup,
         store: &mut AppResilientStore,
     ) -> GmlResult<(PlaceGroup, RunStats, CostReport)> {
-        let mut stats = RunStats::default();
         let start = Instant::now();
-        let mut group = initial_places.clone();
-        let mut iteration: u64 = 0;
-        let mut restores_left = self.cfg.max_restores;
-        let mut interval = self.cfg.checkpoint_interval;
-        let mut next_checkpoint: u64 = 0;
         let first_snap = ctx.stats();
-        let mut prev_snap = first_snap;
-        // Codec counters are process-global but sampled at the same shared
-        // row boundaries as the runtime stats, so rows telescope to the
-        // report's codec totals exactly like the counter deltas do.
         let first_codec = crate::codec::counters();
-        let mut prev_codec = first_codec;
-        let mut rows: Vec<IterRow> = Vec::new();
-        let mut bundles: Vec<PostMortem> = Vec::new();
-        // Silent-error screen: the digest recorded the last time a step
-        // produced output, as `(iteration, digest)`. Verified just before
-        // the next checkpoint commits; `None` when the app opted out.
-        let mut recorded: Option<(u64, u64)> = None;
+        let mut st = RunState {
+            group: initial_places.clone(),
+            iteration: 0,
+            restores_left: self.cfg.max_restores,
+            interval: self.cfg.checkpoint_interval,
+            next_checkpoint: 0,
+            recorded: None,
+            stats: RunStats::default(),
+            report: CostReport::default(),
+            prev_snap: first_snap,
+            prev_codec: first_codec,
+        };
         store.set_overlap(self.cfg.overlap_ship);
 
-        while !app.is_finished(ctx, iteration) {
-            let mut row = IterRow {
-                iteration,
-                step: Duration::ZERO,
-                checkpoint: None,
-                capture: None,
-                ship: None,
-                detect: None,
-                restore: None,
-                delta: Default::default(),
-                path: None,
-                resident: 0,
-                ckpt_bytes: 0,
-                ckpt_logical: 0,
-                ckpt_wire: 0,
-                codec_time: Duration::ZERO,
-            };
-            // Periodic coordinated checkpoint (also re-taken right after a
-            // restore, re-establishing full snapshot redundancy).
-            if interval > 0 && iteration >= next_checkpoint {
-                // Re-derive the output digest and compare it against the
-                // one recorded when the step produced the data. A mismatch
-                // means the state mutated between compute and commit;
-                // rather than checkpoint the corrupted state, roll back to
-                // the last *committed* snapshot as if a place had died.
-                let trigger = match (app.as_checksummed(), recorded) {
-                    (Some(cs), Some((rec_iter, expected))) => {
-                        let t = Instant::now();
-                        let observed = cs.output_digest(ctx)?;
-                        let d = t.elapsed();
-                        row.detect = Some(row.detect.unwrap_or(Duration::ZERO) + d);
-                        stats.detect_time += d;
-                        (observed != expected).then_some(GmlError::SilentError {
-                            iteration: rec_iter,
-                            expected,
-                            observed,
-                        })
-                    }
-                    _ => None,
-                };
-                if let Some(trigger) = trigger {
-                    recorded = None;
-                    let cost = self.recover(
-                        ctx, app, store, &mut group, &mut iteration, &mut restores_left,
-                        &mut stats, &mut bundles, &trigger,
-                    )?;
-                    row.restore = Some(cost);
-                    next_checkpoint = iteration;
-                    Self::close_row(ctx, &mut rows, row, &mut prev_snap, &mut prev_codec);
-                    continue;
-                }
-                store.set_current_iteration(iteration);
-                let t = Instant::now();
-                let result = {
-                    let _span = ctx.trace_span(SpanKind::Checkpoint, iteration);
-                    app.checkpoint(ctx, store)
-                };
-                row.checkpoint = Some(t.elapsed());
-                // Harvest the two-phase split. With overlap on, the ship
-                // time joined here mostly belongs to the *previous*
-                // checkpoint's transfers (this commit was their barrier).
-                let (capture, ship) = store.take_phases();
-                row.capture = Some(capture);
-                if ship > Duration::ZERO {
-                    row.ship = Some(ship);
-                }
-                stats.capture_time += capture;
-                stats.ship_time += ship;
-                match result {
-                    Ok(()) => {
-                        stats.checkpoint_time += t.elapsed();
-                        stats.checkpoints += 1;
-                        if let Some(mttf) = self.cfg.mttf {
-                            interval = young_iterations(&stats, mttf, interval);
-                        }
-                        next_checkpoint = iteration + interval;
-                    }
-                    Err(e) if e.is_recoverable() => {
-                        stats.checkpoint_time += t.elapsed();
-                        store.cancel_snapshot(ctx);
-                        recorded = None;
-                        let cost = self.recover(
-                            ctx, app, store, &mut group, &mut iteration, &mut restores_left,
-                            &mut stats, &mut bundles, &e,
-                        )?;
-                        row.restore = Some(cost);
-                        next_checkpoint = iteration;
-                        Self::close_row(ctx, &mut rows, row, &mut prev_snap, &mut prev_codec);
-                        continue;
-                    }
-                    Err(e) => {
-                        let _ = store.drain(ctx);
-                        return Err(e);
-                    }
-                }
-            }
-
-            // One iteration of the algorithm.
-            let t = Instant::now();
-            let result = {
-                let _span = ctx.trace_span(SpanKind::Step, iteration);
-                app.step(ctx, iteration)
-            };
-            row.step = t.elapsed();
-            // With tracing on, reconstruct this pass's cross-place critical
-            // path from the rings (the Step span just closed) and feed the
-            // watchdog so regressions and stragglers are flagged online.
-            if ctx.tracer().is_on() {
-                let events = ctx.tracer().events();
-                let dropped = ctx.tracer().dropped();
-                let profiles = critical_path::analyze(&events, &dropped);
-                // Re-executed iterations share a number after rollback;
-                // the latest window is this pass's.
-                if let Some(p) =
-                    profiles.iter().rev().find(|p| p.iteration == row.iteration)
-                {
-                    row.path = Some(*p);
-                    ctx.observe_iteration(p);
-                }
-            }
-            match result {
-                Ok(()) => {
-                    stats.step_time += t.elapsed();
-                    stats.iterations_run += 1;
-                    // Record the output digest the moment the step produced
-                    // it — the reference the pre-commit verification
-                    // compares against.
-                    if let Some(cs) = app.as_checksummed() {
-                        let td = Instant::now();
-                        let digest = cs.output_digest(ctx)?;
-                        let d = td.elapsed();
-                        row.detect = Some(row.detect.unwrap_or(Duration::ZERO) + d);
-                        stats.detect_time += d;
-                        recorded = Some((iteration, digest));
-                    }
-                    iteration += 1;
-                }
+        while !app.is_finished(ctx, st.iteration) {
+            let mut row = IterRow { iteration: st.iteration, ..Default::default() };
+            match self.pass(ctx, app, store, &mut st, &mut row) {
+                Ok(()) => {}
                 Err(e) if e.is_recoverable() => {
-                    stats.step_time += t.elapsed();
-                    recorded = None;
-                    let cost = self.recover(
-                        ctx, app, store, &mut group, &mut iteration, &mut restores_left,
-                        &mut stats, &mut bundles, &e,
-                    )?;
-                    row.restore = Some(cost);
-                    next_checkpoint = iteration;
+                    // Abort a half-taken snapshot (a no-op unless the
+                    // checkpoint phase failed), then roll back.
+                    store.cancel_snapshot(ctx);
+                    row.restore = Some(self.recover(ctx, app, store, &mut st, &e)?);
                 }
                 Err(e) => {
                     let _ = store.drain(ctx);
                     return Err(e);
                 }
             }
-            Self::close_row(ctx, &mut rows, row, &mut prev_snap, &mut prev_codec);
+            st.close_row(ctx, row);
         }
         // End-of-run barrier: settle the last overlap-mode checkpoint. A
         // dead-place error here is ignored deliberately — the run already
         // produced its result, and the previous committed snapshot remains
         // the recovery point for anyone restoring afterwards.
         let _ = store.drain(ctx);
-        // The barrier can land counter ticks *after* the last row closed: a
-        // background ship caught mid-flight at that boundary records its
-        // shipped and received bytes on opposite sides of the snapshot.
-        // Fold the post-drain residue into the final row so rows still
+        // The barrier lands counter ticks and ship time *after* the last row
+        // closed: a background ship caught mid-flight at that boundary
+        // records its shipped and received bytes on opposite sides of the
+        // snapshot. Fold the residue into the final row so rows still
         // telescope and the totals only ever see whole transfers (the
         // failure-free invariant `bytes_received == bytes_shipped` depends
         // on it).
-        if let Some(last) = rows.last_mut() {
+        if let Some(last) = st.report.rows.last_mut() {
             let now = ctx.stats();
-            last.delta = last.delta.merged(&now.since(&prev_snap));
-            prev_snap = now;
+            last.delta = last.delta.merged(&now.since(&st.prev_snap));
+            st.prev_snap = now;
+            harvest(store, last, &mut st.stats);
         }
-        let (capture, ship) = store.take_phases();
-        stats.capture_time += capture;
-        stats.ship_time += ship;
-        stats.total_time = start.elapsed();
-        let report = CostReport {
-            rows,
-            totals: prev_snap.since(&first_snap),
-            codec_totals: crate::codec::counters().since(&first_codec),
-            bundles,
-        };
-        Ok((group, stats, report))
+        st.stats.total_time = start.elapsed();
+        st.report.totals = st.prev_snap.since(&first_snap);
+        st.report.codec_totals = crate::codec::counters().since(&first_codec);
+        Ok((st.group, st.stats, st.report))
     }
 
-    /// Finish a report row: charge it the counter delta since the previous
-    /// row boundary. The boundary snapshot is shared with the next row, so
-    /// no counter tick is ever double-counted or lost.
-    fn close_row(
+    /// One loop pass: verify digest → checkpoint → step → record digest.
+    /// The first error from any phase ends the pass; the caller owns
+    /// recovery.
+    fn pass<A: ResilientIterativeApp>(
+        &self,
         ctx: &Ctx,
-        rows: &mut Vec<IterRow>,
-        mut row: IterRow,
-        prev_snap: &mut apgas::stats::StatsSnapshot,
-        prev_codec: &mut crate::codec::CodecSnapshot,
-    ) {
-        let now = ctx.stats();
-        row.delta = now.since(prev_snap);
-        *prev_snap = now;
-        // Codec plane: logical vs wire checkpoint bytes this pass encoded
-        // plus the encode+decode wall time spent, from the same shared
-        // boundary discipline as the counter snapshots.
-        let now_codec = crate::codec::counters();
-        let codec_delta = now_codec.since(prev_codec);
-        *prev_codec = now_codec;
-        row.ckpt_logical = codec_delta.logical_bytes;
-        row.ckpt_wire = codec_delta.wire_bytes;
-        row.codec_time =
-            Duration::from_nanos(codec_delta.encode_nanos + codec_delta.decode_nanos);
-        // Memory levels are read at the same shared boundary as the counter
-        // snapshot, so consecutive rows telescope: each row's level is the
-        // next row's starting point. Both are 0 with `mem-profile` off.
-        row.resident = apgas::mem::heap_bytes();
-        row.ckpt_bytes = apgas::mem::current(apgas::mem::MemTag::StoreShard);
-        rows.push(row);
+        app: &mut A,
+        store: &mut AppResilientStore,
+        st: &mut RunState,
+        row: &mut IterRow,
+    ) -> GmlResult<()> {
+        let it = st.iteration;
+        // Periodic coordinated checkpoint (also re-taken right after a
+        // restore, re-establishing full snapshot redundancy).
+        if st.interval > 0 && it >= st.next_checkpoint {
+            // Re-derive the output digest recorded when the step produced
+            // the data. A mismatch means the state mutated between compute
+            // and commit; rather than checkpoint the corrupted state, roll
+            // back to the last *committed* snapshot as if a place had died.
+            if let (Some(cs), Some((rec_iter, expected))) = (app.as_checksummed(), st.recorded)
+            {
+                let detect = row.detect.get_or_insert_default();
+                let observed = timed(detect, &mut st.stats.detect_time, || cs.output_digest(ctx))?;
+                if observed != expected {
+                    return Err(GmlError::SilentError { iteration: rec_iter, expected, observed });
+                }
+            }
+            store.set_current_iteration(it);
+            let ckpt = row.checkpoint.get_or_insert_default();
+            let result = timed(ckpt, &mut st.stats.checkpoint_time, || {
+                let _span = ctx.trace_span(SpanKind::Checkpoint, it);
+                app.checkpoint(ctx, store)
+            });
+            harvest(store, row, &mut st.stats);
+            result?;
+            st.stats.checkpoints += 1;
+            if let Some(mttf) = self.cfg.mttf {
+                st.interval = young_iterations(&st.stats, mttf, st.interval);
+            }
+            st.next_checkpoint = it + st.interval;
+        }
+
+        let result = timed(&mut row.step, &mut st.stats.step_time, || {
+            let _span = ctx.trace_span(SpanKind::Step, it);
+            app.step(ctx, it)
+        });
+        // With tracing on, reconstruct this pass's cross-place critical
+        // path from the rings (the Step span just closed) and feed the
+        // watchdog so regressions and stragglers are flagged online.
+        if ctx.tracer().is_on() {
+            let profiles =
+                critical_path::analyze(&ctx.tracer().events(), &ctx.tracer().dropped());
+            // Re-executed iterations share a number after rollback; the
+            // latest window is this pass's.
+            if let Some(p) = profiles.iter().rev().find(|p| p.iteration == it) {
+                row.path = Some(*p);
+                ctx.observe_iteration(p);
+            }
+        }
+        result?;
+        st.stats.iterations_run += 1;
+        // Record the output digest the moment the step produced it — the
+        // reference the pre-commit verification compares against.
+        if let Some(cs) = app.as_checksummed() {
+            let detect = row.detect.get_or_insert_default();
+            let digest = timed(detect, &mut st.stats.detect_time, || cs.output_digest(ctx))?;
+            st.recorded = Some((it, digest));
+        }
+        st.iteration += 1;
+        Ok(())
     }
 
-    /// Pick a new group per the restore mode and roll the application back.
-    /// Returns the wall time and effective shape of the recovery, and pushes
-    /// one flight-recorder [`PostMortem`] bundle when it succeeds. `trigger`
-    /// is the error being recovered from: a dead-place error selects the
-    /// configured restore mode, a [`GmlError::SilentError`] restores on the
-    /// unchanged group under the `silent_error` effective mode.
-    #[allow(clippy::too_many_arguments)]
+    /// Roll the application back to the committed snapshot on the group
+    /// [`plan`](Self::plan) picks, going around again while places keep
+    /// dying mid-restore. On success the loop state resumes from the
+    /// snapshot's iteration and one flight-recorder [`PostMortem`] bundle
+    /// is pushed. `trigger` is the error being recovered from.
     fn recover<A: ResilientIterativeApp>(
         &self,
         ctx: &Ctx,
         app: &mut A,
         store: &mut AppResilientStore,
-        group: &mut PlaceGroup,
-        iteration: &mut u64,
-        restores_left: &mut u32,
-        stats: &mut RunStats,
-        bundles: &mut Vec<PostMortem>,
+        st: &mut RunState,
         trigger: &GmlError,
     ) -> GmlResult<RestoreCost> {
-        let recover_t0 = Instant::now();
+        let t0 = Instant::now();
         // Settle any in-flight overlap-mode checkpoint before reading the
         // committed snapshot: a provisional snapshot whose ships all landed
         // (or that is still fully usable) promotes and becomes the rollback
@@ -531,191 +500,137 @@ impl ResilientExecutor {
         let _ = store.drain(ctx);
         let mut attempts: u32 = 0;
         loop {
-            if *restores_left == 0 {
+            if st.restores_left == 0 {
                 return Err(GmlError::Unrecoverable("restore budget exhausted".into()));
             }
-            *restores_left -= 1;
+            st.restores_left -= 1;
             attempts += 1;
-            let snapshot_iter = store.snapshot_iteration().ok_or_else(|| {
+            let rolled_back_to = store.snapshot_iteration().ok_or_else(|| {
                 GmlError::Unrecoverable("place failure before any committed checkpoint".into())
             })?;
-            let dead: Vec<Place> = group.iter().filter(|p| !ctx.is_alive(*p)).collect();
-            let spares = ctx.live_spares();
-            let mut spawned: Vec<Place> = Vec::new();
-            let survivors = group.len() - dead.len();
-            let mut digests: Option<(u64, u64)> = None;
-            let (new_group, rebalance, label, reason) = if dead.is_empty() {
-                // No place died. The only recoverable error without a corpse
-                // is a detected silent error: the places are fine but the
-                // data is not, so restore the committed snapshot on the
-                // *unchanged* group (no shrink, no substitution, no
-                // rebalance — the grid is intact, only its contents rolled
-                // back).
-                let GmlError::SilentError { iteration: det_iter, expected, observed } =
-                    trigger
-                else {
-                    return Err(GmlError::Unrecoverable(
-                        "recoverable error but no dead place observed".into(),
-                    ));
-                };
-                digests = Some((*expected, *observed));
-                (
-                    group.clone(),
-                    false,
-                    "silent_error",
-                    format!(
-                        "silent data corruption detected at iteration {det_iter}: recorded \
-                         digest {expected:016x}, observed {observed:016x}; no place died — \
-                         rolling back to the committed snapshot on the unchanged group"
-                    ),
-                )
-            } else {
-                match self.cfg.mode {
-                    RestoreMode::Shrink => (
-                        group.without(&dead),
-                        false,
-                        RestoreMode::Shrink.label(),
-                        format!(
-                            "configured shrink: continue on the {survivors} surviving place(s), \
-                             same data grid"
-                        ),
-                    ),
-                    RestoreMode::ShrinkRebalance => (
-                        group.without(&dead),
-                        true,
-                        RestoreMode::ShrinkRebalance.label(),
-                        format!(
-                            "configured shrink_rebalance: repartition the data grid over the \
-                             {survivors} surviving place(s)"
-                        ),
-                    ),
-                    RestoreMode::ReplaceRedundant => {
-                        match group.replace(&dead, &spares) {
-                            Some(g) => (
-                                g,
-                                false,
-                                RestoreMode::ReplaceRedundant.label(),
-                                format!(
-                                    "configured replace_redundant: {} dead place(s) substituted \
-                                     from {} live spare(s)",
-                                    dead.len(),
-                                    spares.len()
-                                ),
-                            ),
-                            // Spares exhausted: fall back to the user-chosen
-                            // shrink variant (the label reports what actually
-                            // happened, not what was configured).
-                            None => (
-                                group.without(&dead),
-                                self.cfg.fallback_rebalance,
-                                Self::fallback_label(self.cfg.fallback_rebalance),
-                                format!(
-                                    "replace_redundant fell back: {} dead place(s) but only {} \
-                                     live spare(s); shrinking{}",
-                                    dead.len(),
-                                    spares.len(),
-                                    if self.cfg.fallback_rebalance { " with rebalance" } else { "" }
-                                ),
-                            ),
-                        }
-                    }
-                    RestoreMode::ReplaceElastic => {
-                        // Create brand-new places on demand (Elastic X10).
-                        let mut fresh = Vec::with_capacity(dead.len());
-                        for _ in &dead {
-                            fresh.push(ctx.spawn_place()?);
-                        }
-                        spawned = fresh.clone();
-                        match group.replace(&dead, &fresh) {
-                            Some(g) => (
-                                g,
-                                false,
-                                RestoreMode::ReplaceElastic.label(),
-                                format!(
-                                    "configured replace_elastic: spawned {} fresh place(s) to \
-                                     substitute for the dead ones",
-                                    fresh.len()
-                                ),
-                            ),
-                            None => (
-                                group.without(&dead),
-                                self.cfg.fallback_rebalance,
-                                Self::fallback_label(self.cfg.fallback_rebalance),
-                                format!(
-                                    "replace_elastic fell back: could not substitute {} dead \
-                                     place(s); shrinking{}",
-                                    dead.len(),
-                                    if self.cfg.fallback_rebalance { " with rebalance" } else { "" }
-                                ),
-                            ),
-                        }
-                    }
-                }
-            };
+            let (new_group, mut decision) = self.plan(ctx, &st.group, trigger)?;
             if new_group.is_empty() {
                 return Err(GmlError::Unrecoverable("no live places remain".into()));
             }
-            let t = Instant::now();
+            // The Restore span carries the same label the bundle records,
+            // so the two match by construction.
+            let (label, rebalance) = (decision.effective_label, decision.rebalance);
             let result = {
-                let _span = ctx.trace_span_labeled(SpanKind::Restore, label, snapshot_iter);
-                app.restore(ctx, &new_group, store, snapshot_iter, rebalance)
+                let _span = ctx.trace_span_labeled(SpanKind::Restore, label, rolled_back_to);
+                app.restore(ctx, &new_group, store, rolled_back_to, rebalance)
             };
-            stats.restore_time += t.elapsed();
             match result {
-                Ok(()) => {
-                    stats.restores += 1;
-                    // Flight recorder: one bundle per successful restore.
-                    // `label` is the same value the Restore span above was
-                    // tagged with, so the recorded mode matches the trace by
-                    // construction.
-                    let decision = RestoreDecision {
-                        configured_mode: self.cfg.mode.label(),
-                        effective_label: label,
-                        rebalance,
-                        reason,
-                        dead_places: dead.iter().map(|p| p.id()).collect(),
-                        live_spares: spares.iter().map(|p| p.id()).collect(),
-                        places_spawned: spawned.iter().map(|p| p.id()).collect(),
-                        rolled_back_to: snapshot_iter,
-                        attempt: attempts,
-                        expected_digest: digests.map(|(e, _)| e),
-                        observed_digest: digests.map(|(_, o)| o),
-                    };
-                    let bundle = PostMortem::capture(
-                        ctx,
-                        store.store(),
-                        &store.committed_snapshots(),
-                        decision,
-                        stats.restores,
-                    );
-                    bundle.maybe_write_env_dir();
-                    bundles.push(bundle);
-                    *group = new_group;
-                    *iteration = snapshot_iter;
-                    return Ok(RestoreCost {
-                        label,
-                        rebalance,
-                        time: recover_t0.elapsed(),
-                        rolled_back_to: snapshot_iter,
-                        attempts,
-                    });
-                }
-                Err(e) if e.is_recoverable() => {
-                    // Another place died during the restore: go around again
-                    // from the (unchanged) old group minus all dead places.
-                    continue;
-                }
+                Ok(()) => {}
+                // Another place died during the restore: go around again
+                // from the (unchanged) old group minus all dead places.
+                Err(e) if e.is_recoverable() => continue,
                 Err(e) => return Err(e),
             }
+            st.stats.restores += 1;
+            decision.rolled_back_to = rolled_back_to;
+            decision.attempt = attempts;
+            let bundle = PostMortem::capture(
+                ctx,
+                store.store(),
+                &store.committed_snapshots(),
+                decision,
+                st.stats.restores,
+            );
+            bundle.maybe_write_env_dir();
+            st.report.bundles.push(bundle);
+            st.group = new_group;
+            st.iteration = rolled_back_to;
+            st.next_checkpoint = rolled_back_to;
+            st.recorded = None;
+            let time = t0.elapsed();
+            st.stats.restore_time += time;
+            return Ok(RestoreCost { label, rebalance, time, rolled_back_to, attempts });
         }
     }
 
-    fn fallback_label(rebalance: bool) -> &'static str {
-        if rebalance {
-            RestoreMode::ShrinkRebalance.label()
+    /// Restore-mode selection for one attempt: the group to restore onto,
+    /// and the decision record explaining it (`rolled_back_to` and
+    /// `attempt` are left for the caller). A dead place selects the
+    /// configured mode; with no corpse, the only recoverable trigger is a
+    /// [`GmlError::SilentError`], which restores on the unchanged group.
+    fn plan(
+        &self,
+        ctx: &Ctx,
+        group: &PlaceGroup,
+        trigger: &GmlError,
+    ) -> GmlResult<(PlaceGroup, RestoreDecision)> {
+        let dead: Vec<Place> = group.iter().filter(|p| !ctx.is_alive(*p)).collect();
+        let spares = ctx.live_spares();
+        let survivors = group.len() - dead.len();
+        let mode = self.cfg.mode;
+        let mut d = RestoreDecision {
+            configured_mode: mode.label(),
+            effective_label: mode.label(),
+            dead_places: dead.iter().map(|p| p.id()).collect(),
+            live_spares: spares.iter().map(|p| p.id()).collect(),
+            ..Default::default()
+        };
+        let new_group = if dead.is_empty() {
+            // The places are fine but the data is not: roll the contents
+            // back on the intact grid (no shrink, substitution or
+            // rebalance).
+            let GmlError::SilentError { iteration, expected, observed } = trigger else {
+                return Err(GmlError::Unrecoverable("recoverable error but no dead place".into()));
+            };
+            d.effective_label = "silent_error";
+            d.expected_digest = Some(*expected);
+            d.observed_digest = Some(*observed);
+            d.reason = format!(
+                "silent data corruption detected at iteration {iteration}: recorded digest \
+                 {expected:016x}, observed {observed:016x}; no place died — rolling back to \
+                 the committed snapshot on the unchanged group"
+            );
+            group.clone()
         } else {
-            RestoreMode::Shrink.label()
-        }
+            match mode {
+                RestoreMode::Shrink | RestoreMode::ShrinkRebalance => {
+                    d.rebalance = mode == RestoreMode::ShrinkRebalance;
+                    let grid = if d.rebalance { "repartitioned" } else { "same" };
+                    d.reason = format!(
+                        "configured {}: continue on the {survivors} surviving place(s), {grid} \
+                         data grid",
+                        mode.label()
+                    );
+                    group.without(&dead)
+                }
+                // The replace modes differ only in where the substitutes
+                // come from: pre-allocated spares, or brand-new places
+                // created on demand (Elastic X10).
+                RestoreMode::ReplaceRedundant | RestoreMode::ReplaceElastic => {
+                    let (subs, source) = if mode == RestoreMode::ReplaceElastic {
+                        let fresh =
+                            dead.iter().map(|_| ctx.spawn_place()).collect::<Result<Vec<_>, _>>()?;
+                        d.places_spawned = fresh.iter().map(|p| p.id()).collect();
+                        (fresh, "freshly spawned place(s)")
+                    } else {
+                        (spares, "live spare(s)")
+                    };
+                    let (label, n_dead, n_subs) = (mode.label(), dead.len(), subs.len());
+                    if let Some(g) = group.replace(&dead, &subs) {
+                        d.reason = format!(
+                            "configured {label}: {n_dead} dead place(s) substituted from \
+                             {n_subs} {source}"
+                        );
+                        g
+                    } else {
+                        // Substitutes ran out: fall back to plain shrink. The
+                        // label reports what actually happened.
+                        d.effective_label = RestoreMode::Shrink.label();
+                        d.reason = format!(
+                            "{label} fell back: {n_dead} dead place(s) but only {n_subs} \
+                             {source}; shrinking"
+                        );
+                        group.without(&dead)
+                    }
+                }
+            }
+        };
+        Ok((new_group, d))
     }
 }
 
@@ -883,6 +798,8 @@ mod tests {
         kill_during_checkpoint: Option<Place>,
         checksummed: bool,
         corrupt_at_digest_call: Option<u64>,
+        kill_at_digest_call: Option<(u64, Place)>,
+        kill_during_restore: Option<Place>,
         digest_calls: std::cell::Cell<u64>,
     }
 
@@ -927,6 +844,9 @@ mod tests {
             _snapshot_iteration: u64,
             _rebalance: bool,
         ) -> GmlResult<()> {
+            if let Some(victim) = self.kill_during_restore.take() {
+                ctx.kill_place(victim)?;
+            }
             self.v.remake(ctx, new_places)?;
             store.restore(ctx, &mut [&mut self.v])?;
             self.group = new_places.clone();
@@ -934,7 +854,7 @@ mod tests {
         }
 
         fn as_checksummed(&self) -> Option<&dyn ChecksummedStep> {
-            self.checksummed.then(|| self as &dyn ChecksummedStep)
+            self.checksummed.then_some(self as &dyn ChecksummedStep)
         }
     }
 
@@ -948,6 +868,14 @@ mod tests {
                 self.v.apply(ctx, |x| {
                     x.cell_add_scalar(0.5);
                 })?;
+            }
+            if let Some((at, victim)) = self.kill_at_digest_call {
+                if at == n {
+                    // A place dies while the digest is being taken; the
+                    // next collective touch surfaces it.
+                    ctx.kill_place(victim)?;
+                    self.v.apply(ctx, |_| {})?;
+                }
             }
             Ok(apgas::fnv1a_f64s(self.v.read_local(ctx)?.as_slice()))
         }
@@ -965,6 +893,8 @@ mod tests {
                 kill_during_checkpoint: None,
                 checksummed: false,
                 corrupt_at_digest_call: None,
+                kill_at_digest_call: None,
+                kill_during_restore: None,
                 digest_calls: std::cell::Cell::new(0),
             },
             store,
@@ -1332,6 +1262,73 @@ mod tests {
         assert!(kills >= 1, "the seed should produce at least one kill");
         assert_eq!(final_len, 6 - kills as usize);
         assert!(restores >= kills as u64);
+    }
+
+    #[test]
+    fn place_death_inside_output_digest_is_recovered() {
+        Runtime::run(RuntimeConfig::new(4).resilient(true), |ctx| {
+            let g = ctx.world();
+            let (mut app, mut store) = counter_app(ctx, &g, 12);
+            app.checksummed = true;
+            // Digest call 3 is the record after step 2.
+            app.kill_at_digest_call = Some((3, Place::new(2)));
+            let exec = ResilientExecutor::new(ExecutorConfig::new(5, RestoreMode::Shrink));
+            let (final_group, stats) = exec.run(ctx, &mut app, &g, &mut store).unwrap();
+            assert_eq!(app.value(ctx), 12.0, "rollback + re-execution is exact");
+            assert_eq!(stats.restores, 1);
+            assert!(!final_group.contains(Place::new(2)));
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn place_death_during_restore_retries_without_both_dead_places() {
+        Runtime::run(RuntimeConfig::new(4).resilient(true), |ctx| {
+            let g = ctx.world();
+            let (mut app, mut store) = counter_app(ctx, &g, 20);
+            app.kill_at = Some((7, Place::new(1)));
+            app.kill_during_restore = Some(Place::new(2));
+            let exec = ResilientExecutor::new(ExecutorConfig::new(5, RestoreMode::Shrink));
+            let (final_group, stats, report) =
+                exec.run_reported(ctx, &mut app, &g, &mut store).unwrap();
+            assert_eq!(app.value(ctx), 20.0, "rollback + re-execution is exact");
+            assert_eq!(stats.restores, 1, "one recovery, two attempts");
+            let cost = report.rows.iter().find_map(|r| r.restore).unwrap();
+            assert_eq!(cost.attempts, 2);
+            assert_eq!(report.bundles[0].decision.attempt, 2);
+            assert!(!final_group.contains(Place::new(1)));
+            assert!(!final_group.contains(Place::new(2)));
+            assert_eq!(final_group.len(), 2);
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn report_rows_sum_to_run_stats() {
+        for kill_at in [None, Some((7, Place::new(2)))] {
+            Runtime::run(RuntimeConfig::new(4).resilient(true), move |ctx| {
+                let g = ctx.world();
+                let (mut app, mut store) = counter_app(ctx, &g, 16);
+                app.checksummed = true;
+                app.kill_at = kill_at;
+                let exec = ResilientExecutor::new(ExecutorConfig::new(3, RestoreMode::Shrink));
+                let (_, stats, report) =
+                    exec.run_reported(ctx, &mut app, &g, &mut store).unwrap();
+                assert_eq!(app.value(ctx), 16.0);
+                let sum = |f: fn(&IterRow) -> Option<Duration>| -> Duration {
+                    report.rows.iter().filter_map(f).sum()
+                };
+                assert_eq!(sum(|r| Some(r.step)), stats.step_time);
+                assert_eq!(sum(|r| r.checkpoint), stats.checkpoint_time);
+                assert_eq!(sum(|r| r.capture), stats.capture_time);
+                assert_eq!(sum(|r| r.ship), stats.ship_time);
+                assert_eq!(sum(|r| r.detect), stats.detect_time);
+                assert_eq!(sum(|r| r.restore.map(|c| c.time)), stats.restore_time);
+                assert_eq!(report.restores(), stats.restores);
+                assert_eq!(stats.restores, u64::from(kill_at.is_some()));
+            })
+            .unwrap();
+        }
     }
 
     #[test]

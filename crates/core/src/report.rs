@@ -38,7 +38,7 @@ pub struct RestoreCost {
 
 /// One executor loop pass: at most one checkpoint, at most one step, at
 /// most one recovery — plus the runtime counter deltas it consumed.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct IterRow {
     /// The iteration number at the start of the pass (pre-rollback).
     pub iteration: u64,
@@ -49,8 +49,8 @@ pub struct IterRow {
     /// cancelled checkpoints included — their cost is real).
     pub checkpoint: Option<Duration>,
     /// Synchronous *capture* portion of this pass's checkpoint (serialize
-    /// under the object locks + owner inserts). `Some` exactly when
-    /// `checkpoint` is.
+    /// under the object locks + owner inserts). `None` when the pass took
+    /// no checkpoint or its checkpoint failed before capturing anything.
     pub capture: Option<Duration>,
     /// Background *ship* busy time harvested by this pass. With overlap on,
     /// a checkpoint's ships are joined — and therefore show up — at the
@@ -385,9 +385,8 @@ mod tests {
         let mut b = row(1, 0, 0, 0);
         b.detect = Some(Duration::from_millis(3));
         b.delta.task_vote_mismatches = 1;
-        let mut totals = StatsSnapshot::default();
-        totals.task_replays = 1;
-        totals.task_vote_mismatches = 1;
+        let totals =
+            StatsSnapshot { task_replays: 1, task_vote_mismatches: 1, ..Default::default() };
         let report =
             CostReport { rows: vec![a, b], totals, codec_totals: Default::default(), bundles: vec![] };
         // The new counters participate in the telescoping check.

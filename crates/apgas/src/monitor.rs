@@ -260,32 +260,26 @@ fn family_header(out: &mut String, name: &str, kind: &str, help: &str) {
     out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
 }
 
-/// Render the flat runtime counters as `gml_*_total` counter families.
+/// Render every declared runtime counter (`gml_*_total` families; labelled
+/// samples of one family share its header), plus the derived
+/// `gml_ckpt_compression_ratio` gauge.
 pub fn render_stats(out: &mut String, s: &StatsSnapshot) {
-    let counters: [(&str, u64, &str); 14] = [
-        ("gml_tasks_spawned_total", s.tasks_spawned, "Tasks spawned via at/async_at."),
-        ("gml_at_calls_total", s.at_calls, "Synchronous at() round trips."),
-        ("gml_ctl_spawns_total", s.ctl_spawns, "Resilient-finish spawn records at place zero."),
-        ("gml_ctl_terms_total", s.ctl_terms, "Resilient-finish termination records."),
-        ("gml_ctl_waits_total", s.ctl_waits, "Resilient-finish wait registrations."),
-        ("gml_bytes_shipped_total", s.bytes_shipped, "Payload bytes serialized for a place crossing."),
-        ("gml_bytes_received_total", s.bytes_received, "Payload bytes landed at a receiving place."),
-        ("gml_encode_nanos_total", s.encode_nanos, "Wall nanoseconds spent encoding payloads."),
-        ("gml_decode_nanos_total", s.decode_nanos, "Wall nanoseconds spent decoding payloads."),
-        ("gml_failures_total", s.failures, "Fail-stop place failures injected."),
-        ("gml_places_spawned_total", s.places_spawned, "Places created elastically at runtime."),
-        ("gml_task_replays_total", s.task_replays, "Task bodies replayed after a panic or timeout."),
-        ("gml_task_timeouts_total", s.task_timeouts, "Task attempts abandoned on a policy deadline."),
-        (
-            "gml_task_vote_mismatches_total",
-            s.task_vote_mismatches,
-            "Replica digest votes with at least one dissenting replica.",
-        ),
-    ];
-    for (name, v, help) in counters {
-        family_header(out, name, "counter", help);
-        out.push_str(&format!("{name} {v}\n"));
+    let mut family = "";
+    for (c, v) in s.entries() {
+        if c.family_name() != family {
+            family = c.family_name();
+            family_header(out, family, "counter", c.help);
+        }
+        out.push_str(&format!("{} {v}\n", c.family));
     }
+    family_header(
+        out,
+        "gml_ckpt_compression_ratio",
+        "gauge",
+        "Checkpoint wire/logical byte ratio (1 before any frame).",
+    );
+    let ratio = crate::stats::wire_ratio(s.ckpt_logical_bytes, s.ckpt_wire_bytes);
+    out.push_str(&format!("gml_ckpt_compression_ratio {ratio:.6}\n"));
 }
 
 /// Render per-place heartbeat gauges.
@@ -706,6 +700,32 @@ mod tests {
             assert!(out.contains(&format!("# TYPE {family} counter")), "{family} missing");
             assert!(out.contains(&format!("{family} 0")), "{family} sample missing");
         }
+        for c in crate::stats::COUNTERS {
+            assert!(out.contains(&format!("\n{} 0\n", c.family)), "{} sample missing", c.name);
+        }
+    }
+
+    #[test]
+    fn render_stats_emits_ckpt_families() {
+        let s = StatsSnapshot {
+            ckpt_logical_bytes: 4096,
+            ckpt_wire_bytes: 1024,
+            ckpt_frames_full: 2,
+            ckpt_frames_delta: 3,
+            ..Default::default()
+        };
+        let mut out = String::new();
+        render_stats(&mut out, &s);
+        assert!(out.contains("gml_ckpt_logical_bytes_total 4096\n"));
+        assert!(out.contains("gml_ckpt_wire_bytes_total"));
+        assert_eq!(out.matches("# TYPE gml_ckpt_frames_total counter").count(), 1);
+        assert!(out.contains("gml_ckpt_frames_total{kind=\"full\"} 2\n"));
+        assert!(out.contains("gml_ckpt_frames_total{kind=\"delta\"} 3\n"));
+        assert!(out.contains("gml_ckpt_frames_total{kind=\"lossy\"} 0\n"));
+        assert!(out.contains("# TYPE gml_ckpt_encode_nanos_total counter"));
+        assert!(out.contains("# TYPE gml_ckpt_decode_nanos_total counter"));
+        assert!(out.contains("# TYPE gml_ckpt_compression_ratio gauge"));
+        assert!(out.contains("gml_ckpt_compression_ratio 0.250000\n"));
     }
 
     #[test]

@@ -468,6 +468,12 @@ impl Ctx {
         RuntimeStats::add(&self.rt.stats.bytes_received, n as u64);
     }
 
+    /// Add `n` to one declared runtime counter, picked by field:
+    /// `ctx.count(|s| &s.ckpt_wire_bytes, n)`.
+    pub fn count(&self, counter: impl FnOnce(&RuntimeStats) -> &AtomicU64, n: u64) {
+        RuntimeStats::add(counter(&self.rt.stats), n);
+    }
+
     /// Serialize `value` for a place crossing, charging the wall time to
     /// `encode_nanos`. Byte accounting stays separate ([`Self::record_bytes`])
     /// because not every encode is billed at its own site — snapshot saves,

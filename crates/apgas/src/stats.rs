@@ -2,88 +2,129 @@
 //!
 //! These make the resilience costs the paper talks about *observable*: the
 //! number of place-zero bookkeeping messages (the source of resilient-X10
-//! overhead in Figs 2–4) and the number of bytes serialized across places
-//! (the source of checkpoint/restore cost in Table III and Figs 5–7).
+//! overhead in Figs 2–4), the number of bytes serialized across places
+//! (the source of checkpoint/restore cost in Table III and Figs 5–7) and
+//! what the checkpoint codec turned those bytes into.
+//!
+//! Every counter is declared once, in the `counters!` table below, with
+//! its field name, Prometheus family and help text. The table generates
+//! [`RuntimeStats`] and [`StatsSnapshot`]; `snapshot`, `since`, `merged`,
+//! the row sum and [`StatsSnapshot::entries`] work over all of it, so the
+//! cost report, the Prometheus endpoint and post-mortem bundles pick up a
+//! new counter with no other edit.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Monotonic counters maintained by the runtime. Cheap to update; read them
-/// with [`RuntimeStats::snapshot`].
-#[derive(Default)]
-pub struct RuntimeStats {
-    /// Tasks dispatched to any place (both `async_at` and `at`).
-    pub tasks_spawned: AtomicU64,
-    /// Synchronous `at` round trips.
-    pub at_calls: AtomicU64,
-    /// Place-zero bookkeeping messages: task-spawn records (each is a
-    /// synchronous round trip to place zero in resilient mode).
-    pub ctl_spawns: AtomicU64,
-    /// Place-zero bookkeeping messages: task terminations.
-    pub ctl_terms: AtomicU64,
-    /// Place-zero bookkeeping messages: finish-wait registrations.
-    pub ctl_waits: AtomicU64,
-    /// Bytes of payload serialized for cross-place movement (maintained by
-    /// the data layers via [`crate::runtime::Ctx::record_bytes`]).
-    pub bytes_shipped: AtomicU64,
-    /// Bytes of payload that actually landed at a receiving place (maintained
-    /// via [`crate::runtime::Ctx::record_bytes_received`] at every receive
-    /// site). Mirrors `bytes_shipped` so ship volume can be cross-checked
-    /// end-to-end: in a failure-free run the two are equal; under failure,
-    /// payloads shipped to a place that died in flight are counted as shipped
-    /// but never as received.
-    pub bytes_received: AtomicU64,
-    /// Nanoseconds spent encoding cross-place payloads (maintained via
-    /// [`crate::runtime::Ctx::encode`]); with `bytes_shipped` this yields
-    /// checkpoint encode throughput.
-    pub encode_nanos: AtomicU64,
-    /// Nanoseconds spent decoding cross-place payloads (maintained via
-    /// [`crate::runtime::Ctx::decode`]).
-    pub decode_nanos: AtomicU64,
-    /// Places killed so far.
-    pub failures: AtomicU64,
-    /// Places created elastically after startup.
-    pub places_spawned: AtomicU64,
-    /// Task bodies re-executed by the task-resilience layer after a panic or
-    /// timeout (each replay attempt beyond the first counts once).
-    pub task_replays: AtomicU64,
-    /// Task attempts abandoned because they exceeded the policy deadline.
-    pub task_timeouts: AtomicU64,
-    /// Replicated-task digest votes where at least one replica disagreed
-    /// with the majority — each is a silent error caught by replication.
-    pub task_vote_mismatches: AtomicU64,
+/// One declared runtime counter.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Counter {
+    /// Field name on [`RuntimeStats`] and [`StatsSnapshot`]; also the
+    /// counter's JSON key.
+    pub name: &'static str,
+    /// Prometheus sample name. Counters that share a family carry a label
+    /// set (`gml_ckpt_frames_total{kind="full"}`) and are rendered under
+    /// one family header.
+    pub family: &'static str,
+    /// Prometheus help text (the family's, for labelled samples).
+    pub help: &'static str,
 }
 
-/// A point-in-time copy of [`RuntimeStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Tasks dispatched to any place.
-    pub tasks_spawned: u64,
-    /// Synchronous `at` round trips.
-    pub at_calls: u64,
-    /// Place-zero spawn records.
-    pub ctl_spawns: u64,
-    /// Place-zero termination records.
-    pub ctl_terms: u64,
-    /// Place-zero finish-wait registrations.
-    pub ctl_waits: u64,
-    /// Payload bytes serialized across places.
-    pub bytes_shipped: u64,
-    /// Payload bytes that landed at receiving places.
-    pub bytes_received: u64,
-    /// Nanoseconds spent encoding cross-place payloads.
-    pub encode_nanos: u64,
-    /// Nanoseconds spent decoding cross-place payloads.
-    pub decode_nanos: u64,
-    /// Places killed so far.
-    pub failures: u64,
-    /// Places created elastically after startup.
-    pub places_spawned: u64,
-    /// Task bodies replayed after a panic or timeout.
-    pub task_replays: u64,
-    /// Task attempts abandoned on a policy deadline.
-    pub task_timeouts: u64,
-    /// Replica digest votes with at least one dissenter.
-    pub task_vote_mismatches: u64,
+impl Counter {
+    /// The family name without its label set.
+    pub fn family_name(&self) -> &'static str {
+        self.family.split('{').next().unwrap_or(self.family)
+    }
+}
+
+macro_rules! counters {
+    ($($(#[doc = $doc:literal])* $name:ident => $family:literal, $help:literal;)+) => {
+        /// Monotonic counters maintained by the runtime. Cheap to update;
+        /// read them with [`RuntimeStats::snapshot`].
+        #[derive(Default)]
+        pub struct RuntimeStats {
+            $(#[doc = $help] $(#[doc = $doc])* pub $name: AtomicU64,)+
+        }
+
+        /// A point-in-time copy of [`RuntimeStats`].
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct StatsSnapshot {
+            $(#[doc = $help] $(#[doc = $doc])* pub $name: u64,)+
+        }
+
+        /// Every declared counter, in declaration order.
+        pub const COUNTERS: [Counter; COUNTER_COUNT] =
+            [$(Counter { name: stringify!($name), family: $family, help: $help },)+];
+
+        /// How many counters the table declares.
+        pub const COUNTER_COUNT: usize = [$(stringify!($name),)+].len();
+
+        impl StatsSnapshot {
+            /// The counter values, in declaration order.
+            pub fn values(&self) -> [u64; COUNTER_COUNT] {
+                [$(self.$name,)+]
+            }
+
+            /// The snapshot holding `values`, given in declaration order.
+            pub fn from_values(values: [u64; COUNTER_COUNT]) -> Self {
+                let [$($name,)+] = values;
+                StatsSnapshot { $($name,)+ }
+            }
+        }
+
+        impl RuntimeStats {
+            /// A point-in-time copy of the counters.
+            pub fn snapshot(&self) -> StatsSnapshot {
+                StatsSnapshot { $($name: self.$name.load(Ordering::Relaxed),)+ }
+            }
+        }
+    };
+}
+
+counters! {
+    tasks_spawned => "gml_tasks_spawned_total", "Tasks spawned via at/async_at.";
+    at_calls => "gml_at_calls_total", "Synchronous at() round trips.";
+    /// Each is a synchronous round trip to place zero in resilient mode.
+    ctl_spawns => "gml_ctl_spawns_total", "Resilient-finish spawn records at place zero.";
+    ctl_terms => "gml_ctl_terms_total", "Resilient-finish termination records.";
+    ctl_waits => "gml_ctl_waits_total", "Resilient-finish wait registrations.";
+    /// Maintained by the data layers via [`crate::runtime::Ctx::record_bytes`].
+    bytes_shipped => "gml_bytes_shipped_total", "Payload bytes serialized for a place crossing.";
+    /// Maintained via [`crate::runtime::Ctx::record_bytes_received`] at
+    /// every receive site, mirroring `bytes_shipped`: the two are equal in a
+    /// failure-free run; under failure, payloads shipped to a place that
+    /// died in flight count as shipped but never as received.
+    bytes_received => "gml_bytes_received_total", "Payload bytes landed at a receiving place.";
+    /// Maintained via [`crate::runtime::Ctx::encode`].
+    encode_nanos => "gml_encode_nanos_total", "Wall nanoseconds spent encoding payloads.";
+    /// Maintained via [`crate::runtime::Ctx::decode`].
+    decode_nanos => "gml_decode_nanos_total", "Wall nanoseconds spent decoding payloads.";
+    failures => "gml_failures_total", "Fail-stop place failures injected.";
+    places_spawned => "gml_places_spawned_total", "Places created elastically at runtime.";
+    /// Each replay attempt beyond the first counts once.
+    task_replays => "gml_task_replays_total", "Task bodies replayed after a panic or timeout.";
+    task_timeouts => "gml_task_timeouts_total", "Task attempts abandoned on a policy deadline.";
+    /// Each is a silent error caught by replication.
+    task_vote_mismatches => "gml_task_vote_mismatches_total",
+        "Replica digest votes with at least one dissenting replica.";
+    /// Zero on raw-codec stores, which frame nothing.
+    ckpt_logical_bytes => "gml_ckpt_logical_bytes_total",
+        "Checkpoint payload bytes fed to the codec (pre-codec).";
+    ckpt_wire_bytes => "gml_ckpt_wire_bytes_total",
+        "Checkpoint frame bytes the codec emitted (post-codec).";
+    /// Full base frames.
+    ckpt_frames_full => "gml_ckpt_frames_total{kind=\"full\"}",
+        "Checkpoint codec frames emitted, by kind (a lossy frame is also full or delta).";
+    /// Delta frames.
+    ckpt_frames_delta => "gml_ckpt_frames_total{kind=\"delta\"}",
+        "Checkpoint codec frames emitted, by kind (a lossy frame is also full or delta).";
+    /// Frames whose payload was lossily quantized.
+    ckpt_frames_lossy => "gml_ckpt_frames_total{kind=\"lossy\"}",
+        "Checkpoint codec frames emitted, by kind (a lossy frame is also full or delta).";
+    codec_encode_nanos => "gml_ckpt_encode_nanos_total",
+        "Wall nanoseconds the checkpoint codec spent encoding frames.";
+    /// Delta-chain replay included.
+    codec_decode_nanos => "gml_ckpt_decode_nanos_total",
+        "Wall nanoseconds the checkpoint codec spent decoding frames.";
 }
 
 impl StatsSnapshot {
@@ -92,72 +133,46 @@ impl StatsSnapshot {
         self.ctl_spawns + self.ctl_terms + self.ctl_waits
     }
 
+    /// Every declared counter with its value, in declaration order.
+    pub fn entries(&self) -> impl Iterator<Item = (&'static Counter, u64)> {
+        COUNTERS.iter().zip(self.values())
+    }
+
     /// Counter-wise difference `self - earlier` (saturating).
     pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            tasks_spawned: self.tasks_spawned.saturating_sub(earlier.tasks_spawned),
-            at_calls: self.at_calls.saturating_sub(earlier.at_calls),
-            ctl_spawns: self.ctl_spawns.saturating_sub(earlier.ctl_spawns),
-            ctl_terms: self.ctl_terms.saturating_sub(earlier.ctl_terms),
-            ctl_waits: self.ctl_waits.saturating_sub(earlier.ctl_waits),
-            bytes_shipped: self.bytes_shipped.saturating_sub(earlier.bytes_shipped),
-            bytes_received: self.bytes_received.saturating_sub(earlier.bytes_received),
-            encode_nanos: self.encode_nanos.saturating_sub(earlier.encode_nanos),
-            decode_nanos: self.decode_nanos.saturating_sub(earlier.decode_nanos),
-            failures: self.failures.saturating_sub(earlier.failures),
-            places_spawned: self.places_spawned.saturating_sub(earlier.places_spawned),
-            task_replays: self.task_replays.saturating_sub(earlier.task_replays),
-            task_timeouts: self.task_timeouts.saturating_sub(earlier.task_timeouts),
-            task_vote_mismatches: self
-                .task_vote_mismatches
-                .saturating_sub(earlier.task_vote_mismatches),
-        }
+        self.zip_with(earlier, u64::saturating_sub)
     }
 
     /// Counter-wise sum `self + other` — for folding a late-settling delta
     /// (e.g. background ships joined after the last report row closed) into
     /// an already-taken delta without losing or double-counting a tick.
     pub fn merged(&self, other: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            tasks_spawned: self.tasks_spawned + other.tasks_spawned,
-            at_calls: self.at_calls + other.at_calls,
-            ctl_spawns: self.ctl_spawns + other.ctl_spawns,
-            ctl_terms: self.ctl_terms + other.ctl_terms,
-            ctl_waits: self.ctl_waits + other.ctl_waits,
-            bytes_shipped: self.bytes_shipped + other.bytes_shipped,
-            bytes_received: self.bytes_received + other.bytes_received,
-            encode_nanos: self.encode_nanos + other.encode_nanos,
-            decode_nanos: self.decode_nanos + other.decode_nanos,
-            failures: self.failures + other.failures,
-            places_spawned: self.places_spawned + other.places_spawned,
-            task_replays: self.task_replays + other.task_replays,
-            task_timeouts: self.task_timeouts + other.task_timeouts,
-            task_vote_mismatches: self.task_vote_mismatches + other.task_vote_mismatches,
-        }
+        self.zip_with(other, |a, b| a + b)
+    }
+
+    fn zip_with(&self, other: &StatsSnapshot, f: impl Fn(u64, u64) -> u64) -> StatsSnapshot {
+        let (a, b) = (self.values(), other.values());
+        StatsSnapshot::from_values(std::array::from_fn(|i| f(a[i], b[i])))
+    }
+}
+
+/// Counter-wise sum of many deltas (e.g. the rows of a cost report).
+impl<'a> std::iter::Sum<&'a StatsSnapshot> for StatsSnapshot {
+    fn sum<I: Iterator<Item = &'a StatsSnapshot>>(iter: I) -> Self {
+        iter.fold(StatsSnapshot::default(), |acc, s| acc.merged(s))
+    }
+}
+
+/// `wire / logical` bytes, or 1.0 when nothing was encoded.
+pub fn wire_ratio(logical: u64, wire: u64) -> f64 {
+    if logical == 0 {
+        1.0
+    } else {
+        wire as f64 / logical as f64
     }
 }
 
 impl RuntimeStats {
-    /// A point-in-time copy of the counters.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            tasks_spawned: self.tasks_spawned.load(Ordering::Relaxed),
-            at_calls: self.at_calls.load(Ordering::Relaxed),
-            ctl_spawns: self.ctl_spawns.load(Ordering::Relaxed),
-            ctl_terms: self.ctl_terms.load(Ordering::Relaxed),
-            ctl_waits: self.ctl_waits.load(Ordering::Relaxed),
-            bytes_shipped: self.bytes_shipped.load(Ordering::Relaxed),
-            bytes_received: self.bytes_received.load(Ordering::Relaxed),
-            encode_nanos: self.encode_nanos.load(Ordering::Relaxed),
-            decode_nanos: self.decode_nanos.load(Ordering::Relaxed),
-            failures: self.failures.load(Ordering::Relaxed),
-            places_spawned: self.places_spawned.load(Ordering::Relaxed),
-            task_replays: self.task_replays.load(Ordering::Relaxed),
-            task_timeouts: self.task_timeouts.load(Ordering::Relaxed),
-            task_vote_mismatches: self.task_vote_mismatches.load(Ordering::Relaxed),
-        }
-    }
-
     pub(crate) fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
     }
@@ -170,6 +185,11 @@ impl RuntimeStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A snapshot whose every declared counter holds `f(declaration index)`.
+    fn filled(f: impl Fn(u64) -> u64) -> StatsSnapshot {
+        StatsSnapshot::from_values(std::array::from_fn(|i| f(i as u64)))
+    }
 
     #[test]
     fn snapshot_and_diff() {
@@ -189,6 +209,8 @@ mod tests {
 
     #[test]
     fn since_is_counterwise_exact() {
+        // Counters not named below get distinct, declaration-driven values,
+        // so every declared counter is covered.
         let earlier = StatsSnapshot {
             tasks_spawned: 10,
             at_calls: 4,
@@ -204,6 +226,7 @@ mod tests {
             task_replays: 2,
             task_timeouts: 1,
             task_vote_mismatches: 0,
+            ..filled(|i| 1_000 * i)
         };
         let later = StatsSnapshot {
             tasks_spawned: 25,
@@ -220,6 +243,7 @@ mod tests {
             task_replays: 5,
             task_timeouts: 2,
             task_vote_mismatches: 1,
+            ..filled(|i| 1_000 * i + i + 1)
         };
         let d = later.since(&earlier);
         assert_eq!(d.tasks_spawned, 15);
@@ -237,6 +261,13 @@ mod tests {
         assert_eq!(d.task_timeouts, 1);
         assert_eq!(d.task_vote_mismatches, 1);
         assert_eq!(d.ctl_total(), 11, "ctl_total sums the three ctl deltas");
+        let (e, l) = (earlier.values(), later.values());
+        for (i, (c, v)) in d.entries().enumerate() {
+            assert!(v > 0, "{} did not advance", c.name);
+            assert_eq!(v, l[i] - e[i], "{}", c.name);
+        }
+        assert_eq!(d.merged(&earlier), later, "merged undoes since");
+        assert_eq!([earlier, d].iter().sum::<StatsSnapshot>(), later, "the row sum is merged");
     }
 
     #[test]
@@ -259,6 +290,7 @@ mod tests {
             task_replays: 4,
             task_timeouts: 2,
             task_vote_mismatches: 1,
+            ..filled(|i| u64::MAX - i)
         };
         let after_reset = StatsSnapshot { tasks_spawned: 5, decode_nanos: 9, ..Default::default() };
         let d = after_reset.since(&before_reset);
@@ -269,6 +301,9 @@ mod tests {
         assert_eq!(d.encode_nanos, 0, "even a u64::MAX earlier value saturates");
         assert_eq!(d.decode_nanos, 2, "fields that did advance still diff exactly");
         assert_eq!(d.failures, 0);
+        for (c, v) in d.entries().filter(|(c, _)| c.name != "decode_nanos") {
+            assert_eq!(v, 0, "{} must saturate at zero", c.name);
+        }
     }
 
     #[test]
@@ -276,5 +311,18 @@ mod tests {
         assert_eq!(StatsSnapshot::default().ctl_total(), 0);
         let s = StatsSnapshot { ctl_spawns: 2, ctl_terms: 0, ctl_waits: 5, ..Default::default() };
         assert_eq!(s.ctl_total(), 7);
+    }
+
+    #[test]
+    fn declaration_names_are_unique_prometheus_counters() {
+        for (i, c) in COUNTERS.iter().enumerate() {
+            assert!(COUNTERS[..i].iter().all(|o| o.name != c.name && o.family != c.family));
+            assert!(c.family_name().starts_with("gml_") && c.family_name().ends_with("_total"));
+            assert!(!c.help.is_empty(), "{} has no help text", c.name);
+        }
+        assert_eq!(COUNTERS[0].name, "tasks_spawned");
+        assert_eq!(COUNTER_COUNT, COUNTERS.len());
+        assert_eq!(wire_ratio(0, 0), 1.0);
+        assert_eq!(wire_ratio(8, 2), 0.25);
     }
 }

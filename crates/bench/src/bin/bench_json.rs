@@ -19,7 +19,7 @@ use apgas::serial::{arena, fallback, read_vec, write_slice, Serial};
 use bytes::BytesMut;
 use criterion::{BatchSize, BenchResult, Criterion};
 use gml_core::{
-    codec, AppResilientStore, CodecConfig, DistBlockMatrix, DistVector, ExecutorConfig,
+    AppResilientStore, CodecConfig, DistBlockMatrix, DistVector, ExecutorConfig,
     GmlResult, ResilientExecutor, ResilientIterativeApp, ResilientStore, RestoreMode,
     Snapshottable,
 };
@@ -357,7 +357,6 @@ fn run_checkpoint() -> CkptNumbers {
             store.save(ctx, &dv).unwrap(); // epoch 0: full bases (warm-up)
             store.commit(ctx).unwrap();
             let stats0 = ctx.stats();
-            let codec0 = codec::counters();
             results.push(sample_ns(&format!("checkpoint_throughput/{name}"), 10, || {
                 dv.for_each_segment(ctx, |_, _, seg| {
                     let head = &mut seg.as_mut_slice()[..64];
@@ -370,10 +369,10 @@ fn run_checkpoint() -> CkptNumbers {
                 store.save(ctx, &dv).unwrap();
                 store.commit(ctx).unwrap();
             }));
-            wire[i] = ctx.stats().since(&stats0).bytes_shipped;
+            let d = ctx.stats().since(&stats0);
+            wire[i] = d.bytes_shipped;
             if i == 1 {
-                let d = codec::counters().since(&codec0);
-                codec_ns = d.encode_nanos + d.decode_nanos;
+                codec_ns = d.codec_encode_nanos + d.codec_decode_nanos;
             }
         }
 

@@ -153,7 +153,7 @@ fn main() {
             _ => delta_config(1, Some(LOSSY_TOL)),
         };
         let lossy = cfg.lossy_tol.is_some();
-        let counters0 = gml_core::codec::counters();
+        let stats0 = ctx.stats();
         let mut store = AppResilientStore::make_with_codec(ctx, cfg).unwrap();
 
         // Epoch 0: full bases for every object.
@@ -233,10 +233,13 @@ fn main() {
             // The bound must be exercised, not vacuous: quantization moved
             // off-grid values (nonzero error) and the codec stamped frames
             // as lossy.
-            let c = gml_core::codec::counters().since(&counters0);
-            println!("frames full={} delta={} lossy={}", c.frames_full, c.frames_delta, c.frames_lossy);
+            let c = ctx.stats().since(&stats0);
+            println!(
+                "frames full={} delta={} lossy={}",
+                c.ckpt_frames_full, c.ckpt_frames_delta, c.ckpt_frames_lossy
+            );
             assert!(max_err > 0.0, "lossy leg measured zero error — quantization did not run");
-            assert!(c.frames_lossy > 0, "lossy leg produced no lossy-flagged frames");
+            assert!(c.ckpt_frames_lossy > 0, "lossy leg produced no lossy-flagged frames");
         }
     })
     .unwrap();

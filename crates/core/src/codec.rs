@@ -31,15 +31,15 @@
 //! chain surfaces as [`GmlError::DataLoss`](crate::error::GmlError) instead
 //! of silently wrong data.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Mutex;
-use std::time::Instant;
 
 use apgas::digest::fnv1a_bytes;
 use bytes::{BufMut, Bytes};
 use apgas::monitor::{env_parsed, env_parsed_float};
 use apgas::pool;
 use apgas::serial::arena;
+use apgas::stats::StatsSnapshot;
 
 use crate::snapshot::Snapshot;
 
@@ -205,21 +205,9 @@ impl CodecState {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Process-global codec counters (logical vs wire bytes, frame mix, time).
-// ---------------------------------------------------------------------------
-
-static LOGICAL_BYTES: AtomicU64 = AtomicU64::new(0);
-static WIRE_BYTES: AtomicU64 = AtomicU64::new(0);
-static FRAMES_FULL: AtomicU64 = AtomicU64::new(0);
-static FRAMES_DELTA: AtomicU64 = AtomicU64::new(0);
-static FRAMES_LOSSY: AtomicU64 = AtomicU64::new(0);
-static ENCODE_NANOS: AtomicU64 = AtomicU64::new(0);
-static DECODE_NANOS: AtomicU64 = AtomicU64::new(0);
-
-/// A point-in-time view of the codec counters. Monotonic; subtract two with
-/// [`since`](CodecSnapshot::since) for an interval, exactly like
-/// `apgas::stats::StatsSnapshot`.
+/// The checkpoint-codec slice of a runtime counter snapshot (the
+/// `ckpt_*`/`codec_*` counters of [`StatsSnapshot`], which the store
+/// charges through its `Ctx` as it encodes and decodes frames).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CodecSnapshot {
     /// Pre-codec (logical) payload bytes encoded.
@@ -239,60 +227,24 @@ pub struct CodecSnapshot {
 }
 
 impl CodecSnapshot {
-    /// Counter-wise difference `self - earlier`.
-    pub fn since(&self, earlier: &CodecSnapshot) -> CodecSnapshot {
-        CodecSnapshot {
-            logical_bytes: self.logical_bytes - earlier.logical_bytes,
-            wire_bytes: self.wire_bytes - earlier.wire_bytes,
-            frames_full: self.frames_full - earlier.frames_full,
-            frames_delta: self.frames_delta - earlier.frames_delta,
-            frames_lossy: self.frames_lossy - earlier.frames_lossy,
-            encode_nanos: self.encode_nanos - earlier.encode_nanos,
-            decode_nanos: self.decode_nanos - earlier.decode_nanos,
-        }
-    }
-
     /// Wire/logical ratio (1.0 when nothing was encoded yet).
     pub fn compression_ratio(&self) -> f64 {
-        if self.logical_bytes == 0 {
-            1.0
-        } else {
-            self.wire_bytes as f64 / self.logical_bytes as f64
+        apgas::stats::wire_ratio(self.logical_bytes, self.wire_bytes)
+    }
+}
+
+impl From<&StatsSnapshot> for CodecSnapshot {
+    fn from(s: &StatsSnapshot) -> Self {
+        CodecSnapshot {
+            logical_bytes: s.ckpt_logical_bytes,
+            wire_bytes: s.ckpt_wire_bytes,
+            frames_full: s.ckpt_frames_full,
+            frames_delta: s.ckpt_frames_delta,
+            frames_lossy: s.ckpt_frames_lossy,
+            encode_nanos: s.codec_encode_nanos,
+            decode_nanos: s.codec_decode_nanos,
         }
     }
-}
-
-/// Read the process-global codec counters.
-pub fn counters() -> CodecSnapshot {
-    CodecSnapshot {
-        logical_bytes: LOGICAL_BYTES.load(Ordering::Relaxed),
-        wire_bytes: WIRE_BYTES.load(Ordering::Relaxed),
-        frames_full: FRAMES_FULL.load(Ordering::Relaxed),
-        frames_delta: FRAMES_DELTA.load(Ordering::Relaxed),
-        frames_lossy: FRAMES_LOSSY.load(Ordering::Relaxed),
-        encode_nanos: ENCODE_NANOS.load(Ordering::Relaxed),
-        decode_nanos: DECODE_NANOS.load(Ordering::Relaxed),
-    }
-}
-
-/// Render the `gml_ckpt_*` Prometheus families (registered alongside the
-/// `gml_store_*` gauges by `ResilientStore::register_monitor`).
-pub fn render_codec(out: &mut String) {
-    let c = counters();
-    out.push_str("# TYPE gml_ckpt_logical_bytes_total counter\n");
-    out.push_str(&format!("gml_ckpt_logical_bytes_total {}\n", c.logical_bytes));
-    out.push_str("# TYPE gml_ckpt_wire_bytes_total counter\n");
-    out.push_str(&format!("gml_ckpt_wire_bytes_total {}\n", c.wire_bytes));
-    out.push_str("# TYPE gml_ckpt_frames_total counter\n");
-    out.push_str(&format!("gml_ckpt_frames_total{{kind=\"full\"}} {}\n", c.frames_full));
-    out.push_str(&format!("gml_ckpt_frames_total{{kind=\"delta\"}} {}\n", c.frames_delta));
-    out.push_str(&format!("gml_ckpt_frames_total{{kind=\"lossy\"}} {}\n", c.frames_lossy));
-    out.push_str("# TYPE gml_ckpt_encode_nanos_total counter\n");
-    out.push_str(&format!("gml_ckpt_encode_nanos_total {}\n", c.encode_nanos));
-    out.push_str("# TYPE gml_ckpt_decode_nanos_total counter\n");
-    out.push_str(&format!("gml_ckpt_decode_nanos_total {}\n", c.decode_nanos));
-    out.push_str("# TYPE gml_ckpt_compression_ratio gauge\n");
-    out.push_str(&format!("gml_ckpt_compression_ratio {:.6}\n", c.compression_ratio()));
 }
 
 // ---------------------------------------------------------------------------
@@ -530,7 +482,6 @@ pub(crate) fn encode_entry(
     ref_snap_id: u64,
     lossy: bool,
 ) -> EncodeOutcome {
-    let t0 = Instant::now();
     let chunk = cfg.chunk;
     let n_chunks = payload.len().div_ceil(chunk);
     let digests: Vec<u64> =
@@ -621,18 +572,6 @@ pub(crate) fn encode_entry(
             buf.extend_from_slice(&slot.1);
         }
     });
-
-    LOGICAL_BYTES.fetch_add(payload.len() as u64, Ordering::Relaxed);
-    WIRE_BYTES.fetch_add(frame.len() as u64, Ordering::Relaxed);
-    if is_delta {
-        FRAMES_DELTA.fetch_add(1, Ordering::Relaxed);
-    } else {
-        FRAMES_FULL.fetch_add(1, Ordering::Relaxed);
-    }
-    if lossy {
-        FRAMES_LOSSY.fetch_add(1, Ordering::Relaxed);
-    }
-    ENCODE_NANOS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     EncodeOutcome { frame, delta: is_delta }
 }
 
@@ -641,7 +580,6 @@ pub(crate) fn encode_entry(
 /// delta). The reconstructed payload is verified against the frame's FNV
 /// digest — a mismatch is corruption, never returned as data.
 pub(crate) fn decode_frame(frame: &[u8], base: Option<&[u8]>) -> Result<Bytes, String> {
-    let t0 = Instant::now();
     let h = parse_header(frame)?;
     let n = h.logical_len as usize;
     let chunk = h.chunk_size as usize;
@@ -700,9 +638,7 @@ pub(crate) fn decode_frame(frame: &[u8], base: Option<&[u8]>) -> Result<Bytes, S
     if fnv1a_bytes(&out) != h.payload_fnv {
         return Err("decoded payload digest mismatch".into());
     }
-    let out = Bytes::from(out);
-    DECODE_NANOS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    Ok(out)
+    Ok(Bytes::from(out))
 }
 
 /// Quantize an f64-tail payload to a uniform grid of step `2·tol` (absolute
@@ -933,24 +869,6 @@ mod tests {
         let header = parse_header(&out.frame).unwrap();
         assert!(header.is_lossy());
         assert_eq!(&decode_frame(&out.frame, None).unwrap()[..], &q[..]);
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let before = counters();
-        let cfg = cfg_delta();
-        let payload = vec![5u8; 4096];
-        let _ = encode_entry(&cfg, &payload, None, 0, false);
-        let after = counters();
-        let d = after.since(&before);
-        assert!(d.logical_bytes >= 4096);
-        assert!(d.wire_bytes > 0);
-        assert!(d.frames_full >= 1);
-        let mut s = String::new();
-        render_codec(&mut s);
-        assert!(s.contains("gml_ckpt_wire_bytes_total"));
-        assert!(s.contains("gml_ckpt_frames_total{kind=\"delta\"}"));
-        assert!(s.contains("gml_ckpt_compression_ratio"));
     }
 
     proptest! {

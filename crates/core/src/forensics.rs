@@ -19,6 +19,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use apgas::prelude::*;
+use apgas::stats::StatsSnapshot;
 use apgas::trace::{critical_path, Phase};
 
 use crate::snapshot::Snapshot;
@@ -101,13 +102,10 @@ pub struct PostMortem {
     /// interesting — surviving replicas inflate the store tag, rollback
     /// frees application matrices.
     pub mem: MemReport,
-    /// Cumulative task replays at capture time — how often the task layer
-    /// re-executed a panicked or timed-out body before this restore.
-    pub task_replays: u64,
-    /// Cumulative task-attempt timeouts at capture time.
-    pub task_timeouts: u64,
-    /// Cumulative replica digest-vote mismatches at capture time.
-    pub task_vote_mismatches: u64,
+    /// Every runtime counter, cumulative at capture time (e.g.
+    /// `task_replays`: how often the task layer re-executed a panicked or
+    /// timed-out body before this restore).
+    pub stats: StatsSnapshot,
 }
 
 impl PostMortem {
@@ -125,7 +123,6 @@ impl PostMortem {
         if path_rows.len() > PATH_ROWS {
             path_rows.drain(..path_rows.len() - PATH_ROWS);
         }
-        let rt_stats = ctx.stats();
         PostMortem {
             seq,
             captured_at_nanos: ctx.tracer().now_nanos(),
@@ -137,9 +134,7 @@ impl PostMortem {
             trace_tail: trace_tail(&events, TRACE_TAIL_PER_PLACE),
             path_rows,
             mem: apgas::mem::report(),
-            task_replays: rt_stats.task_replays,
-            task_timeouts: rt_stats.task_timeouts,
-            task_vote_mismatches: rt_stats.task_vote_mismatches,
+            stats: ctx.stats(),
         }
     }
 
@@ -147,16 +142,13 @@ impl PostMortem {
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(1024);
         s.push_str(&format!(
-            "{{\"seq\":{},\"captured_at_nanos\":{},\"pool_workers\":{},\
-             \"task_replays\":{},\"task_timeouts\":{},\"task_vote_mismatches\":{},\
-             \"decision\":{{",
-            self.seq,
-            self.captured_at_nanos,
-            self.pool_workers,
-            self.task_replays,
-            self.task_timeouts,
-            self.task_vote_mismatches,
+            "{{\"seq\":{},\"captured_at_nanos\":{},\"pool_workers\":{},",
+            self.seq, self.captured_at_nanos, self.pool_workers,
         ));
+        for (c, v) in self.stats.entries() {
+            s.push_str(&format!("\"{}\":{v},", c.name));
+        }
+        s.push_str("\"decision\":{");
         let d = &self.decision;
         s.push_str(&format!(
             "\"configured_mode\":\"{}\",\"effective_label\":\"{}\",\"rebalance\":{},\
@@ -437,9 +429,7 @@ mod tests {
             trace_tail: vec![],
             path_rows: vec![],
             mem: MemReport::default(),
-            task_replays: 0,
-            task_timeouts: 0,
-            task_vote_mismatches: 0,
+            stats: StatsSnapshot::default(),
         };
         pm.validate().unwrap();
         let json = pm.to_json();
@@ -450,6 +440,9 @@ mod tests {
         assert!(json.contains("\"tag\":\"store_shard\""), "every ledger tag is listed");
         assert!(json.contains("\"expected_digest\":null"), "fail-stop restore: no digests");
         assert!(json.contains("\"task_replays\":0"), "task-layer counters present");
+        for c in apgas::stats::COUNTERS {
+            assert!(json.contains(&format!("\"{}\":0,", c.name)), "{} missing", c.name);
+        }
     }
 
     #[test]
@@ -502,9 +495,12 @@ mod tests {
                 complete: true,
             }],
             mem: apgas::mem::report(),
-            task_replays: 5,
-            task_timeouts: 2,
-            task_vote_mismatches: 1,
+            stats: StatsSnapshot {
+                task_replays: 5,
+                task_timeouts: 2,
+                task_vote_mismatches: 1,
+                ..Default::default()
+            },
         };
         pm.validate().unwrap();
         let json = pm.to_json();

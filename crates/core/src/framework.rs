@@ -258,7 +258,6 @@ struct RunState {
     /// Counter snapshots at the last row boundary, shared with the next row
     /// so no counter tick is ever double-counted or lost.
     prev_snap: StatsSnapshot,
-    prev_codec: CodecSnapshot,
 }
 
 impl RunState {
@@ -268,16 +267,6 @@ impl RunState {
         let now = ctx.stats();
         row.delta = now.since(&self.prev_snap);
         self.prev_snap = now;
-        // Codec counters are process-global but sampled at the same shared
-        // boundaries, so the rows' logical/wire/codec-time columns telescope
-        // to the report's codec totals too.
-        let now_codec = crate::codec::counters();
-        let codec_delta = now_codec.since(&self.prev_codec);
-        self.prev_codec = now_codec;
-        row.ckpt_logical = codec_delta.logical_bytes;
-        row.ckpt_wire = codec_delta.wire_bytes;
-        row.codec_time =
-            Duration::from_nanos(codec_delta.encode_nanos + codec_delta.decode_nanos);
         // Memory levels are read at the same boundary, so each row's level
         // is the next row's starting point. Both are 0 with `mem-profile`
         // off.
@@ -350,7 +339,6 @@ impl ResilientExecutor {
     ) -> GmlResult<(PlaceGroup, RunStats, CostReport)> {
         let start = Instant::now();
         let first_snap = ctx.stats();
-        let first_codec = crate::codec::counters();
         let mut st = RunState {
             group: initial_places.clone(),
             iteration: 0,
@@ -361,7 +349,6 @@ impl ResilientExecutor {
             stats: RunStats::default(),
             report: CostReport::default(),
             prev_snap: first_snap,
-            prev_codec: first_codec,
         };
         store.set_overlap(self.cfg.overlap_ship);
 
@@ -402,7 +389,7 @@ impl ResilientExecutor {
         }
         st.stats.total_time = start.elapsed();
         st.report.totals = st.prev_snap.since(&first_snap);
-        st.report.codec_totals = crate::codec::counters().since(&first_codec);
+        st.report.codec_totals = CodecSnapshot::from(&st.report.totals);
         Ok((st.group, st.stats, st.report))
     }
 
@@ -801,6 +788,8 @@ mod tests {
         kill_at_digest_call: Option<(u64, Place)>,
         kill_during_restore: Option<Place>,
         digest_calls: std::cell::Cell<u64>,
+        /// Run a whole second runtime inside the step of this iteration.
+        nested_run_at: Option<u64>,
     }
 
     impl CounterApp {
@@ -819,6 +808,13 @@ mod tests {
                 if iteration == at && ctx.is_alive(victim) {
                     ctx.kill_place(victim)?;
                 }
+            }
+            if self.nested_run_at == Some(iteration) {
+                let inner = Runtime::run(RuntimeConfig::new(2).resilient(true), |ctx| {
+                    delta_codec_run(ctx, None)
+                })
+                .unwrap();
+                assert!(inner.codec_totals.logical_bytes > 0, "the nested run framed checkpoints");
             }
             self.v.apply(ctx, |x| {
                 x.cell_add_scalar(1.0);
@@ -896,9 +892,49 @@ mod tests {
                 kill_at_digest_call: None,
                 kill_during_restore: None,
                 digest_calls: std::cell::Cell::new(0),
+                nested_run_at: None,
             },
             store,
         )
+    }
+
+    /// A 6-iteration run checkpointing every iteration through the delta
+    /// codec, optionally running a second such run, in its own runtime,
+    /// inside the step of iteration `nested_run_at`.
+    fn delta_codec_run(ctx: &Ctx, nested_run_at: Option<u64>) -> CostReport {
+        let g = ctx.world();
+        let (mut app, _) = counter_app(ctx, &g, 6);
+        app.nested_run_at = nested_run_at;
+        let codec = crate::codec::CodecConfig {
+            mode: crate::codec::CodecMode::Delta,
+            level: 1,
+            ..crate::codec::CodecConfig::raw()
+        };
+        let mut store = AppResilientStore::make_with_codec(ctx, codec).unwrap();
+        let exec = ResilientExecutor::new(ExecutorConfig::new(1, RestoreMode::Shrink));
+        exec.run_reported(ctx, &mut app, &g, &mut store).unwrap().2
+    }
+
+    #[test]
+    fn nested_runtime_codec_traffic_stays_out_of_the_outer_report() {
+        let run = |nested_run_at| {
+            Runtime::run(RuntimeConfig::new(2).resilient(true), move |ctx| {
+                delta_codec_run(ctx, nested_run_at)
+            })
+            .unwrap()
+        };
+        let alone = run(None);
+        let outer = run(Some(2));
+        // Byte and frame counts are exact; codec wall time never repeats,
+        // so it is compared through the telescoping check only.
+        let volume = |c: CodecSnapshot| CodecSnapshot { encode_nanos: 0, decode_nanos: 0, ..c };
+        let columns = |r: &CostReport| {
+            r.rows.iter().map(|row| volume(CodecSnapshot::from(&row.delta))).collect::<Vec<_>>()
+        };
+        assert!(alone.codec_totals.logical_bytes > 0, "the run framed its checkpoints");
+        assert_eq!(volume(outer.codec_totals), volume(alone.codec_totals));
+        assert_eq!(columns(&outer), columns(&alone));
+        assert!(outer.codec_consistent() && alone.codec_consistent());
     }
 
     #[test]

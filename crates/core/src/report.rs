@@ -74,15 +74,9 @@ pub struct IterRow {
     /// `ResilientStore::inventory` wire bytes at every commit point. Zero
     /// when `mem-profile` is compiled out.
     pub ckpt_bytes: u64,
-    /// Logical (pre-codec) checkpoint bytes this pass fed the codec plane.
-    /// Zero on raw-codec runs (nothing was framed).
-    pub ckpt_logical: u64,
-    /// Wire (post-codec) checkpoint bytes the codec emitted this pass; the
-    /// ratio `ckpt_wire / ckpt_logical` is the pass's compression factor.
-    pub ckpt_wire: u64,
-    /// Wall time the codec spent encoding + decoding frames this pass.
-    pub codec_time: Duration,
-    /// Runtime counter deltas consumed by this pass.
+    /// Runtime counter deltas consumed by this pass, checkpoint-codec
+    /// traffic (`ckpt_logical_bytes`, `ckpt_wire_bytes`, frame counts,
+    /// `codec_encode_nanos` / `codec_decode_nanos`) included.
     pub delta: StatsSnapshot,
     /// Cross-place critical-path profile of this pass's step window,
     /// reconstructed from the trace rings. `None` when tracing is off or
@@ -98,9 +92,8 @@ pub struct CostReport {
     /// Counter deltas for the whole run (same boundary snapshots as the
     /// rows, so the rows sum to exactly this).
     pub totals: StatsSnapshot,
-    /// Checkpoint-codec counter deltas for the whole run (same shared
-    /// boundaries, so the rows' logical/wire/codec-time columns sum to
-    /// exactly this too). All-zero on raw-codec runs.
+    /// The checkpoint-codec slice of [`totals`](Self::totals). All-zero on
+    /// raw-codec runs.
     pub codec_totals: CodecSnapshot,
     /// One flight-recorder bundle per restore, in restore order (see
     /// [`PostMortem`]).
@@ -110,24 +103,7 @@ pub struct CostReport {
 impl CostReport {
     /// Counter-wise sum of every row's delta.
     pub fn summed(&self) -> StatsSnapshot {
-        let mut s = StatsSnapshot::default();
-        for r in &self.rows {
-            s.tasks_spawned += r.delta.tasks_spawned;
-            s.at_calls += r.delta.at_calls;
-            s.ctl_spawns += r.delta.ctl_spawns;
-            s.ctl_terms += r.delta.ctl_terms;
-            s.ctl_waits += r.delta.ctl_waits;
-            s.bytes_shipped += r.delta.bytes_shipped;
-            s.bytes_received += r.delta.bytes_received;
-            s.encode_nanos += r.delta.encode_nanos;
-            s.decode_nanos += r.delta.decode_nanos;
-            s.failures += r.delta.failures;
-            s.places_spawned += r.delta.places_spawned;
-            s.task_replays += r.delta.task_replays;
-            s.task_timeouts += r.delta.task_timeouts;
-            s.task_vote_mismatches += r.delta.task_vote_mismatches;
-        }
-        s
+        self.rows.iter().map(|r| &r.delta).sum()
     }
 
     /// Do the rows account for every counter tick of the run? True by
@@ -137,17 +113,12 @@ impl CostReport {
         self.summed() == self.totals
     }
 
-    /// Do the rows' codec columns (logical bytes, wire bytes, codec wall
-    /// time) telescope to [`CostReport::codec_totals`]? True by construction
-    /// — the codec counters are sampled at the same shared row boundaries as
-    /// the runtime counters. Vacuously true on raw-codec runs (all zeros).
+    /// Do the rows' codec counters telescope to
+    /// [`CostReport::codec_totals`]? True by construction — the codec
+    /// counters are runtime counters like any other, sampled at the same
+    /// shared row boundaries. Vacuously true on raw-codec runs (all zeros).
     pub fn codec_consistent(&self) -> bool {
-        let logical: u64 = self.rows.iter().map(|r| r.ckpt_logical).sum();
-        let wire: u64 = self.rows.iter().map(|r| r.ckpt_wire).sum();
-        let nanos: u64 = self.rows.iter().map(|r| r.codec_time.as_nanos() as u64).sum();
-        logical == self.codec_totals.logical_bytes
-            && wire == self.codec_totals.wire_bytes
-            && nanos == self.codec_totals.encode_nanos + self.codec_totals.decode_nanos
+        self.codec_totals == CodecSnapshot::from(&self.summed())
     }
 
     /// Total restores across all rows.
@@ -221,9 +192,9 @@ impl CostReport {
                 fmt_bytes(r.delta.bytes_received),
                 fmt_bytes(r.resident),
                 fmt_bytes(r.ckpt_bytes),
-                fmt_bytes(r.ckpt_logical),
-                fmt_bytes(r.ckpt_wire),
-                fmt_nanos(r.codec_time.as_nanos() as u64),
+                fmt_bytes(r.delta.ckpt_logical_bytes),
+                fmt_bytes(r.delta.ckpt_wire_bytes),
+                fmt_nanos(r.delta.codec_encode_nanos + r.delta.codec_decode_nanos),
             ));
         }
         let t = &self.totals;
@@ -320,9 +291,6 @@ mod tests {
             restore: None,
             resident: 0,
             ckpt_bytes: 0,
-            ckpt_logical: 0,
-            ckpt_wire: 0,
-            codec_time: Duration::ZERO,
             delta: StatsSnapshot {
                 bytes_shipped: shipped,
                 bytes_received: received,
@@ -456,27 +424,29 @@ mod tests {
     #[test]
     fn codec_columns_render_and_telescope() {
         let mut a = row(0, 0, 0, 0);
-        a.ckpt_logical = 4096;
-        a.ckpt_wire = 1024;
-        a.codec_time = Duration::from_millis(2);
+        a.delta.ckpt_logical_bytes = 4096;
+        a.delta.ckpt_wire_bytes = 1024;
+        a.delta.codec_encode_nanos = 2_000_000;
         let mut b = row(1, 0, 0, 0);
-        b.ckpt_logical = 4096;
-        b.ckpt_wire = 1024;
-        b.codec_time = Duration::from_millis(3);
-        let codec_totals = CodecSnapshot {
-            logical_bytes: 8192,
-            wire_bytes: 2048,
-            encode_nanos: 4_000_000,
-            decode_nanos: 1_000_000,
+        b.delta.ckpt_logical_bytes = 4096;
+        b.delta.ckpt_wire_bytes = 1024;
+        b.delta.codec_encode_nanos = 2_000_000;
+        b.delta.codec_decode_nanos = 1_000_000;
+        let totals = StatsSnapshot {
+            ckpt_logical_bytes: 8192,
+            ckpt_wire_bytes: 2048,
+            codec_encode_nanos: 4_000_000,
+            codec_decode_nanos: 1_000_000,
             ..Default::default()
         };
         let report = CostReport {
             rows: vec![a, b],
-            totals: StatsSnapshot::default(),
-            codec_totals,
+            totals,
+            codec_totals: CodecSnapshot::from(&totals),
             bundles: vec![],
         };
         assert!(report.codec_consistent(), "codec columns telescope to codec_totals");
+        assert!(report.consistent_with_totals());
         let text = report.render();
         assert!(text.contains("logical"), "logical byte column present");
         assert!(text.contains("wire"), "wire byte column present");
@@ -484,7 +454,7 @@ mod tests {
         assert!(text.contains("ckpt logical 8.0KB wire 2.0KB (ratio 0.25) codec 5.00ms"));
         // A wire-byte mismatch breaks the telescoping check.
         let mut bad = report.clone();
-        bad.rows[0].ckpt_wire += 1;
+        bad.rows[0].delta.ckpt_wire_bytes += 1;
         assert!(!bad.codec_consistent());
         // Raw-codec runs (all zeros) are vacuously consistent.
         let raw = CostReport {

@@ -15,6 +15,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use apgas::prelude::*;
 use bytes::Bytes;
@@ -515,6 +516,7 @@ impl ResilientStore {
                         prev.framed.then_some((prev.bytes, rs.snap_id))
                     })
             };
+            let t0 = Instant::now();
             let outcome = codec::encode_entry(
                 cfg,
                 &payload,
@@ -522,6 +524,12 @@ impl ResilientStore {
                 ref_frame.as_ref().map(|(_, id)| *id).unwrap_or(0),
                 lossy,
             );
+            ctx.count(|s| &s.codec_encode_nanos, t0.elapsed().as_nanos() as u64);
+            ctx.count(|s| &s.ckpt_logical_bytes, payload.len() as u64);
+            ctx.count(|s| &s.ckpt_wire_bytes, outcome.frame.len() as u64);
+            ctx.count(|s| &s.ckpt_frames_delta, u64::from(outcome.delta));
+            ctx.count(|s| &s.ckpt_frames_full, u64::from(!outcome.delta));
+            ctx.count(|s| &s.ckpt_frames_lossy, u64::from(lossy));
             if outcome.delta {
                 self.codec.used_delta.store(true, Ordering::Release);
             }
@@ -722,7 +730,7 @@ impl ResilientStore {
         } else {
             None
         };
-        codec::decode_frame(&frame, base.as_deref())
+        decode_counted(ctx, &frame, base.as_deref())
             .map_err(|e| GmlError::data_loss(format!("key {key}: frame decode failed: {e}")))
     }
 
@@ -756,7 +764,7 @@ impl ResilientStore {
         } else {
             None
         };
-        codec::decode_frame(&frame, base.as_deref()).ok()
+        decode_counted(ctx, &frame, base.as_deref()).ok()
     }
 
     /// True if the entry is still reachable (some replica's place is alive).
@@ -905,10 +913,18 @@ impl ResilientStore {
         ctx.add_monitor_collector(move || {
             let mut out = render_inventory(&store.inventory(&cx));
             render_tile_stats(&mut out);
-            codec::render_codec(&mut out);
             out
         });
     }
+}
+
+/// Decode one frame, charging its wall time to the runtime's codec decode
+/// counter (each frame of a delta chain is charged once).
+fn decode_counted(ctx: &Ctx, frame: &[u8], base: Option<&[u8]>) -> Result<Bytes, String> {
+    let t0 = Instant::now();
+    let out = codec::decode_frame(frame, base)?;
+    ctx.count(|s| &s.codec_decode_nanos, t0.elapsed().as_nanos() as u64);
+    Ok(out)
 }
 
 /// Render the process-wide tile-pool rent counters (`gml_tile_*` families).
@@ -1327,6 +1343,29 @@ mod tests {
         render_tile_stats(&mut out);
         assert!(out.contains("# TYPE gml_tile_hits_total counter"));
         assert!(out.contains("gml_tile_misses_total "));
+    }
+
+    #[test]
+    fn codec_counters_accumulate_per_runtime() {
+        Runtime::run(RuntimeConfig::new(2).resilient(true), |ctx| {
+            let cfg = CodecConfig { mode: codec::CodecMode::Delta, level: 1, ..CodecConfig::raw() };
+            let store = ResilientStore::make_with_codec(ctx, cfg).unwrap();
+            let before = ctx.stats();
+            let sid = store.fresh_snap_id();
+            let payload = Bytes::from(vec![5u8; 4096]);
+            store.save_batch(ctx, sid, vec![(0, payload.clone())], Place::new(1)).unwrap();
+            assert_eq!(store.fetch(ctx, sid, 0, Place::ZERO, Place::new(1)).unwrap(), payload);
+            let d = ctx.stats().since(&before);
+            assert_eq!(d.ckpt_logical_bytes, 4096, "only this runtime's frames count");
+            assert!(d.ckpt_wire_bytes > 0);
+            assert_eq!((d.ckpt_frames_full, d.ckpt_frames_delta, d.ckpt_frames_lossy), (1, 0, 0));
+            let mut s = String::new();
+            apgas::monitor::render_stats(&mut s, &d);
+            assert!(s.contains("gml_ckpt_wire_bytes_total"));
+            assert!(s.contains("gml_ckpt_frames_total{kind=\"delta\"}"));
+            assert!(s.contains("gml_ckpt_compression_ratio"));
+        })
+        .unwrap();
     }
 
     #[test]

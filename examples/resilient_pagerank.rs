@@ -149,13 +149,13 @@ fn main() {
             // snapshots fed the codec vs what actually went on the wire.
             // (Under the default delta codec the ratio drops sharply on the
             // epochs where little changed since the previous commit.)
-            for row in report.rows.iter().filter(|r| r.ckpt_logical > 0) {
+            for row in report.rows.iter().filter(|r| r.delta.ckpt_logical_bytes > 0) {
                 println!(
                     "  codec epoch @iter {:>3}: logical {:>10} -> wire {:>10} (ratio {:.2})",
                     row.iteration,
-                    fmt_bytes(row.ckpt_logical),
-                    fmt_bytes(row.ckpt_wire),
-                    row.ckpt_wire as f64 / row.ckpt_logical as f64
+                    fmt_bytes(row.delta.ckpt_logical_bytes),
+                    fmt_bytes(row.delta.ckpt_wire_bytes),
+                    row.delta.ckpt_wire_bytes as f64 / row.delta.ckpt_logical_bytes as f64
                 );
             }
             assert!(report.codec_consistent(), "row codec columns must sum to codec totals");

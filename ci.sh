@@ -127,6 +127,12 @@ echo "== mem overhead (profiled cost ceiling + compiled-out no-op path) =="
 cargo run --release -p gml-bench --bin mem_overhead
 cargo test -q -p apgas --no-default-features --features trace > /dev/null
 
+echo "== perfbench tests (end-to-end benchmark builds against the current API) =="
+# perfbench is its own package (own Cargo.lock) driving the public API of
+# the library; testing it here turns an API change that would break the
+# end-to-end benchmark into a CI failure.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== bench regress (fresh bench_json vs committed baselines) =="
 # Re-runs the JSON benchmarks into a scratch dir and diffs every benchmark
 # minimum and derived speedup against the committed BENCH_*.json (per-key

@@ -39,13 +39,12 @@ const FILES: [(&str, f64); 3] = [
 /// allocator counters, and values whose relative delta is meaningless —
 /// near-zero baselines, or background busy time that depends entirely on
 /// how the OS interleaved the ship threads.
-const SKIP_KEYS: [&str; 11] = [
+const SKIP_KEYS: [&str; 10] = [
     "workers",
     "available_parallelism",
     "gml_workers_env",
     "encode_arena_hits",
     "encode_arena_misses",
-    "overlap_saving_ns_per_run",
     "ship_mean_ns",
     "ckpt_level",
     "ckpt_chunk",

@@ -23,8 +23,7 @@ use crate::error::{GmlError, GmlResult};
 use crate::snapshot::{Snapshot, Snapshottable};
 use crate::store::{ResilientStore, ShipOrder};
 
-/// One committed (or in-flight) application snapshot.
-#[derive(Clone)]
+/// One committed (or pending) application snapshot.
 struct AppSnapshot {
     /// The iteration this snapshot captures.
     iteration: u64,
@@ -34,12 +33,10 @@ struct AppSnapshot {
     /// (read-only reuse) — not to be deleted when that snapshot retires.
     reused: HashSet<u64>,
     /// Store-id watermark at `start_new_snapshot`: every snap id this
-    /// attempt allocated lies in `first_snap_id..end_snap_id` (the end is
-    /// stamped at commit; `u64::MAX` while the attempt is open). The range
-    /// lets cancellation delete ids burned by saves that failed *before*
-    /// their snapshot entered `map`.
+    /// attempt allocated is at least this. The watermark lets cancellation
+    /// delete ids burned by saves that failed *before* their snapshot
+    /// entered `map`.
     first_snap_id: u64,
-    end_snap_id: u64,
 }
 
 /// One background ship thread: executes a saved object's deferred backup
@@ -51,28 +48,17 @@ type ShipTask = JoinHandle<(GmlResult<()>, Duration)>;
 /// Checkpoints are **two-phase**: `save` runs only the short synchronous
 /// *capture* phase (serialize under the object lock, owner-side inserts),
 /// queueing the backup transfers as [`ShipOrder`]s that a background thread
-/// executes — the *ship* phase. With overlap off (the default) `commit` is
-/// the barrier that drains this snapshot's own ships, failing atomically if
-/// one of them hit a dead place. With overlap on (the executor's default)
-/// `commit` promotes the snapshot optimistically and the ships keep running
-/// while the next iterations compute; the *next* settle point (commit,
-/// [`drain`](Self::drain), or a recovery) becomes the barrier.
+/// executes — the *ship* phase, which runs while later saves capture.
+/// `commit` is the only barrier: it joins every ship of the snapshot,
+/// failing atomically if one of them hit a dead place, then promotes the
+/// snapshot and deletes the retired one before it returns. So at most one
+/// committed application snapshot (plus the pending attempt) is ever held.
 pub struct AppResilientStore {
     store: ResilientStore,
     committed: Option<AppSnapshot>,
-    /// Committed by the application but with backup ships possibly still in
-    /// flight (overlap mode). Becomes `committed` once its ships settle.
-    provisional: Option<AppSnapshot>,
-    provisional_ships: Vec<ShipTask>,
     pending: Option<AppSnapshot>,
     pending_ships: Vec<ShipTask>,
     current_iteration: u64,
-    /// When true, `commit` defers the ship barrier to the next settle point
-    /// so backup transfers overlap with compute. Off by default so direct
-    /// users see the classic synchronous commit; the executor turns it on.
-    overlap: bool,
-    /// Error from a failed provisional settle, surfaced by the next commit.
-    deferred_error: Option<GmlError>,
     capture_time: Duration,
     ship_time: Duration,
     ship_gate: Option<Arc<AtomicBool>>,
@@ -116,9 +102,9 @@ fn spawn_ship(
 /// Join every ship task, accumulating busy time into `ship_time` and
 /// returning the first error — preferring a recoverable (dead-place) one,
 /// since that is what the executor can act on.
-fn drain_ships(ships: &mut Vec<ShipTask>, ship_time: &mut Duration) -> GmlResult<()> {
+fn join_ships(ships: Vec<ShipTask>, ship_time: &mut Duration) -> GmlResult<()> {
     let mut first_err: Option<GmlError> = None;
-    for task in ships.drain(..) {
+    for task in ships {
         match task.join() {
             Ok((res, busy)) => {
                 *ship_time += busy;
@@ -172,29 +158,14 @@ impl AppResilientStore {
         AppResilientStore {
             store,
             committed: None,
-            provisional: None,
-            provisional_ships: Vec::new(),
             pending: None,
             pending_ships: Vec::new(),
             current_iteration: 0,
-            overlap: false,
-            deferred_error: None,
             capture_time: Duration::ZERO,
             ship_time: Duration::ZERO,
             ship_gate: None,
             retained_chain: HashSet::new(),
         }
-    }
-
-    /// Toggle checkpoint/compute overlap (see the type docs). The executor
-    /// sets this from [`ExecutorConfig`](crate::framework::ExecutorConfig).
-    pub fn set_overlap(&mut self, overlap: bool) {
-        self.overlap = overlap;
-    }
-
-    /// Whether commits defer the ship barrier to the next settle point.
-    pub fn is_overlap(&self) -> bool {
-        self.overlap
     }
 
     /// Test hook: while the gate is `true`, ship threads park before
@@ -207,8 +178,8 @@ impl AppResilientStore {
 
     /// Harvest and reset the accumulated capture/ship phase times. Capture
     /// is save-side wall time; ship is background-thread busy time,
-    /// harvested when ships are *joined* — with overlap on, a checkpoint's
-    /// ship time typically shows up at the next settle point.
+    /// harvested when ships are *joined* (by `commit` or
+    /// `cancel_snapshot`).
     pub fn take_phases(&mut self) -> (Duration, Duration) {
         (
             std::mem::take(&mut self.capture_time),
@@ -234,7 +205,6 @@ impl AppResilientStore {
             map: HashMap::new(),
             reused: HashSet::new(),
             first_snap_id: self.store.peek_next_id(),
-            end_snap_id: u64::MAX,
         });
     }
 
@@ -245,8 +215,8 @@ impl AppResilientStore {
     /// handed to a background ship thread before this method returns.
     pub fn save(&mut self, ctx: &Ctx, obj: &dyn Snapshottable) -> GmlResult<()> {
         let t0 = Instant::now();
-        // Delta base for the codec: the newest settled snapshot of this
-        // same object — but only while it is still fully redundant. A
+        // Delta base for the codec: the committed snapshot of this same
+        // object — but only while it is still fully redundant. A
         // degraded snapshot (one replica lost) is never a delta base: its
         // frames may live on a dead place, and the next checkpoint must
         // re-establish a self-contained full base anyway to restore double
@@ -255,9 +225,8 @@ impl AppResilientStore {
         let ref_snap = if self.store.codec_config().is_raw() || self.store.force_full() {
             None
         } else {
-            self.provisional
+            self.committed
                 .as_ref()
-                .or(self.committed.as_ref())
                 .and_then(|c| c.map.get(&obj.object_id()))
                 .filter(|s| s.fully_redundant(ctx))
                 .cloned()
@@ -298,11 +267,7 @@ impl AppResilientStore {
     /// failure is *not* reused — it is re-saved, so that every committed
     /// checkpoint can absorb the next failure.
     pub fn save_read_only(&mut self, ctx: &Ctx, obj: &dyn Snapshottable) -> GmlResult<()> {
-        // With overlap on, the newest committed state may still be the
-        // provisional snapshot — reuse from it first so the reuse chain
-        // stays inside the snapshot that will survive the next promotion.
-        let newest = self.provisional.as_ref().or(self.committed.as_ref());
-        let reusable = newest.and_then(|c| {
+        let reusable = self.committed.as_ref().and_then(|c| {
             c.map.get(&obj.object_id()).filter(|s| s.fully_redundant(ctx)).cloned()
         });
         match reusable {
@@ -322,79 +287,22 @@ impl AppResilientStore {
     /// Atomically promote the pending snapshot to committed and delete the
     /// retired one's entries (except those reused by the new snapshot).
     ///
-    /// This is also the **barrier that drains in-flight ships**: it first
-    /// settles the previous overlap-mode snapshot, surfacing any dead-place
-    /// error its background ships hit; then, with overlap off, it joins this
-    /// snapshot's own ships so a failed ship fails the commit atomically.
+    /// This is also the **ship barrier**: it joins every in-flight ship of
+    /// the pending snapshot first, so a ship that hit a dead place fails
+    /// the commit atomically and the previous snapshot stays committed.
     pub fn commit(&mut self, ctx: &Ctx) -> GmlResult<()> {
-        self.settle_provisional(ctx);
-        if let Some(e) = self.deferred_error.take() {
-            // The caller's cancel_snapshot will clean up the still-pending
-            // attempt; the previous committed snapshot stays the recovery
-            // point.
-            return Err(e);
-        }
-        let mut pending = self
+        let pending = self
             .pending
             .take()
             .ok_or_else(|| GmlError::shape("commit() before start_new_snapshot()"))?;
-        pending.end_snap_id = self.store.peek_next_id();
-        if self.overlap {
-            self.provisional = Some(pending);
-            self.provisional_ships = std::mem::take(&mut self.pending_ships);
-            return Ok(());
-        }
-        let mut ships = std::mem::take(&mut self.pending_ships);
-        if let Err(e) = drain_ships(&mut ships, &mut self.ship_time) {
+        let ships = std::mem::take(&mut self.pending_ships);
+        if let Err(e) = join_ships(ships, &mut self.ship_time) {
             // Put the attempt back so cancel_snapshot can clean it up.
             self.pending = Some(pending);
             return Err(e);
         }
         self.promote(ctx, pending);
         Ok(())
-    }
-
-    /// Join every in-flight ship of the provisional snapshot and either
-    /// promote it to committed or, when payload was truly lost, discard it
-    /// and stash the error for the next `commit`/`drain` to surface.
-    fn settle_provisional(&mut self, ctx: &Ctx) {
-        if self.provisional.is_none() && self.provisional_ships.is_empty() {
-            return;
-        }
-        let mut ships = std::mem::take(&mut self.provisional_ships);
-        let res = drain_ships(&mut ships, &mut self.ship_time);
-        let Some(snap) = self.provisional.take() else {
-            if let Err(e) = res {
-                self.deferred_error.get_or_insert(e);
-            }
-            return;
-        };
-        match res {
-            Ok(()) => self.promote(ctx, snap),
-            Err(e) => {
-                // A place died while this snapshot's backups were in
-                // flight. If every entry still has a live replica, the end
-                // state is identical to "the ships completed, then the
-                // place died" — a degraded but coherent snapshot. Promote
-                // it and let the failure surface through normal failure
-                // detection. Only when payload was truly lost (an owner
-                // died before its backups shipped) is the snapshot
-                // discarded; the older committed one stays the recovery
-                // point and the error is surfaced at the next settle call.
-                let usable =
-                    snap.map.values().all(|s| self.store.audit_snapshot(ctx, s).lost == 0);
-                if usable {
-                    self.promote(ctx, snap);
-                } else {
-                    let mut exclude = snap.reused.clone();
-                    if let Some(p) = self.pending.as_ref() {
-                        exclude.extend(p.reused.iter().copied());
-                    }
-                    self.delete_range(ctx, snap.first_snap_id, snap.end_snap_id, &exclude);
-                    self.deferred_error.get_or_insert(e);
-                }
-            }
-        }
     }
 
     /// Replace `committed` with `snap` and delete the retired snapshot's
@@ -427,30 +335,9 @@ impl AppResilientStore {
         }
         self.retained_chain =
             new.map.values().flat_map(|s| s.chain.iter().copied()).collect();
-        // A snapshot settled cleanly: the post-restore full-base override
+        // A snapshot committed cleanly: the post-restore full-base override
         // (if any) has produced its full frames and can lift.
         self.store.clear_force_full();
-    }
-
-    /// Best-effort delete of every snap id in `first..end` except `exclude`.
-    fn delete_range(&self, ctx: &Ctx, first: u64, end: u64, exclude: &HashSet<u64>) {
-        for snap_id in first..end {
-            if !exclude.contains(&snap_id) {
-                let _ = self.store.delete_snapshot(ctx, snap_id);
-            }
-        }
-    }
-
-    /// Barrier: settle the overlap-mode snapshot (joining its in-flight
-    /// ships) and surface any deferred ship error. The executor calls this
-    /// before reading the committed snapshot for a restore and at the end
-    /// of a run.
-    pub fn drain(&mut self, ctx: &Ctx) -> GmlResult<()> {
-        self.settle_provisional(ctx);
-        match self.deferred_error.take() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
     }
 
     /// Abort the pending snapshot, deleting any entries it created (but not
@@ -460,13 +347,16 @@ impl AppResilientStore {
             // Join this attempt's ship threads first: their orders reference
             // the ids about to be deleted (execute_ship skips stale orders,
             // but the join keeps deletion and shipping from racing).
-            let mut ships = std::mem::take(&mut self.pending_ships);
-            let _ = drain_ships(&mut ships, &mut self.ship_time);
+            let ships = std::mem::take(&mut self.pending_ships);
+            let _ = join_ships(ships, &mut self.ship_time);
             // Watermark delete: every id the attempt allocated, including
             // ids burned by saves that failed before their snapshot entered
-            // the map — previously those leaked partial inventory.
-            let end = self.store.peek_next_id();
-            self.delete_range(ctx, pending.first_snap_id, end, &pending.reused);
+            // the map. Deleting is best-effort cleanup.
+            for snap_id in pending.first_snap_id..self.store.peek_next_id() {
+                if !pending.reused.contains(&snap_id) {
+                    let _ = self.store.delete_snapshot(ctx, snap_id);
+                }
+            }
         }
     }
 
@@ -509,7 +399,7 @@ impl AppResilientStore {
         // Any restore breaks delta continuity: the surviving replicas may be
         // mid-rebuild and the restored in-memory state no longer descends
         // from the last committed frames' successor. The next checkpoint
-        // emits full bases (cleared once that checkpoint settles).
+        // emits full bases (cleared once that checkpoint commits).
         self.store.mark_force_full();
         for obj in objs.iter_mut() {
             let snap = self.snapshot_of(obj.object_id())?;
@@ -698,106 +588,6 @@ mod tests {
 
             let snap = store.snapshot_of(v.object_id()).unwrap();
             assert!(snap.fetch(ctx, store.store(), 0).is_ok(), "cancel must not nuke shared data");
-        });
-    }
-
-    #[test]
-    fn overlap_commit_promotes_at_the_next_settle_point() {
-        run(2, |ctx| {
-            let g = ctx.world();
-            let mut store = AppResilientStore::make(ctx).unwrap();
-            let mut v = DupVector::make(ctx, 2, &g).unwrap();
-            v.init(ctx, |_| 1.0).unwrap();
-            store.set_overlap(true);
-
-            store.set_current_iteration(3);
-            store.start_new_snapshot();
-            store.save(ctx, &v).unwrap();
-            store.commit(ctx).unwrap();
-            // Overlap mode: the snapshot is provisional until its ships are
-            // drained at the next settle point.
-            assert!(!store.has_snapshot(), "promotion deferred past commit");
-
-            v.apply(ctx, |x| x.fill(2.0)).unwrap();
-            store.set_current_iteration(7);
-            store.start_new_snapshot();
-            store.save(ctx, &v).unwrap();
-            store.commit(ctx).unwrap();
-            assert_eq!(store.snapshot_iteration(), Some(3), "previous snapshot settled");
-
-            store.drain(ctx).unwrap();
-            assert_eq!(store.snapshot_iteration(), Some(7), "drain settles the last one");
-            store.restore(ctx, &mut [&mut v]).unwrap();
-            assert_eq!(v.read_local(ctx).unwrap().as_slice(), &[2.0, 2.0]);
-        });
-    }
-
-    #[test]
-    fn overlap_ship_failure_with_live_owner_promotes_degraded_snapshot() {
-        run(3, |ctx| {
-            let g = ctx.world();
-            let mut store = AppResilientStore::make(ctx).unwrap();
-            let mut v = DupVector::make(ctx, 2, &g).unwrap();
-            v.init(ctx, |_| 4.0).unwrap();
-            store.set_overlap(true);
-            let gate = Arc::new(AtomicBool::new(true));
-            store.set_ship_gate(gate.clone());
-
-            store.set_current_iteration(6);
-            store.start_new_snapshot();
-            store.save(ctx, &v).unwrap();
-            store.commit(ctx).unwrap();
-
-            // The backup place dies while the ship is parked in flight. The
-            // owner copy survives, so the end state equals "ship completed,
-            // then the place died": the snapshot promotes, degraded.
-            ctx.kill_place(g.place(1)).unwrap();
-            gate.store(false, Ordering::Release);
-            store.drain(ctx).unwrap();
-            assert_eq!(store.snapshot_iteration(), Some(6));
-
-            let survivors = g.without(&[g.place(1)]);
-            v.remake(ctx, &survivors).unwrap();
-            v.apply(ctx, |x| x.fill(0.0)).unwrap();
-            store.restore(ctx, &mut [&mut v]).unwrap();
-            assert_eq!(v.read_local(ctx).unwrap().as_slice(), &[4.0, 4.0]);
-        });
-    }
-
-    #[test]
-    fn overlap_ship_failure_with_lost_payload_discards_and_surfaces() {
-        run(4, |ctx| {
-            // Group not containing place 0 so the snapshot owner can die.
-            let g: PlaceGroup =
-                [Place::new(1), Place::new(2), Place::new(3)].into_iter().collect();
-            let mut store = AppResilientStore::make(ctx).unwrap();
-            let v = DupVector::make(ctx, 2, &g).unwrap();
-            v.init(ctx, |_| 5.0).unwrap();
-            store.set_overlap(true);
-
-            store.set_current_iteration(5);
-            store.start_new_snapshot();
-            store.save(ctx, &v).unwrap();
-            store.commit(ctx).unwrap();
-            store.drain(ctx).unwrap();
-            assert_eq!(store.snapshot_iteration(), Some(5));
-
-            // Second checkpoint: the owner dies while its ship is parked, so
-            // the backup copy never lands and the payload is lost. The
-            // provisional snapshot must be discarded and the error surfaced;
-            // the iteration-5 snapshot stays the recovery point.
-            let gate = Arc::new(AtomicBool::new(true));
-            store.set_ship_gate(gate.clone());
-            v.apply(ctx, |x| x.fill(6.0)).unwrap();
-            store.set_current_iteration(9);
-            store.start_new_snapshot();
-            store.save(ctx, &v).unwrap();
-            store.commit(ctx).unwrap();
-            ctx.kill_place(Place::new(1)).unwrap();
-            gate.store(false, Ordering::Release);
-            let err = store.drain(ctx).unwrap_err();
-            assert!(err.is_recoverable(), "dead-place ship error: {err}");
-            assert_eq!(store.snapshot_iteration(), Some(5), "rolled back to settled snapshot");
         });
     }
 

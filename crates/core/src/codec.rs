@@ -86,9 +86,34 @@ pub enum CodecMode {
     /// the raw capture bytes (the pre-codec store behavior, and the
     /// reference leg of the checkpoint-parity drill).
     Raw,
-    /// Emit delta frames against the last committed/provisional snapshot
-    /// when eligible, full bases otherwise.
+    /// Emit delta frames against the last committed snapshot when
+    /// eligible, full bases otherwise.
     Delta,
+}
+
+impl CodecMode {
+    /// The mode's `GML_CKPT_CODEC` spelling.
+    pub fn label(self) -> &'static str {
+        match self {
+            CodecMode::Raw => "raw",
+            CodecMode::Delta => "delta",
+        }
+    }
+}
+
+/// Parses a `GML_CKPT_CODEC` value: exactly `raw` or `delta`.
+impl std::str::FromStr for CodecMode {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Self, ()> {
+        [CodecMode::Raw, CodecMode::Delta].into_iter().find(|m| m.label() == s).ok_or(())
+    }
+}
+
+impl std::fmt::Display for CodecMode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
+    }
 }
 
 /// Codec knobs, normally read from the `GML_CKPT_*` environment.
@@ -127,14 +152,12 @@ impl CodecConfig {
     }
 
     /// Read the `GML_CKPT_*` knobs; defaults to delta frames with
-    /// compression on and lossy off. This is what
+    /// compression on and lossy off. Like every knob, an invalid value
+    /// warns on stderr and falls back to the default. This is what
     /// [`AppResilientStore::make`](crate::app_store::AppResilientStore::make)
     /// uses, so the whole executor stack runs through the codec by default.
     pub fn from_env() -> Self {
-        let mode = match env_parsed::<String>("GML_CKPT_CODEC", "delta".into()).as_str() {
-            "raw" => CodecMode::Raw,
-            _ => CodecMode::Delta,
-        };
+        let mode = env_parsed("GML_CKPT_CODEC", CodecMode::Delta);
         let level = env_parsed::<u64>("GML_CKPT_LEVEL", 1).min(1) as u8;
         let chunk = (env_parsed::<u64>("GML_CKPT_CHUNK", 4096) as usize).clamp(64, 1 << 24);
         let dirty_max = env_parsed_float("GML_CKPT_DIRTY_MAX", 0.5, 0.0, 1.0);
@@ -158,10 +181,7 @@ impl CodecConfig {
     /// One-line config stamp for bench metadata and skip-with-reason
     /// comparisons: `"delta"`, `"raw"`.
     pub fn mode_label(&self) -> &'static str {
-        match self.mode {
-            CodecMode::Raw => "raw",
-            CodecMode::Delta => "delta",
-        }
+        self.mode.label()
     }
 }
 
@@ -170,8 +190,8 @@ impl CodecConfig {
 /// the payload class of the object being captured.
 #[derive(Clone)]
 pub(crate) struct CaptureCtx {
-    /// The last committed/provisional snapshot of the object, if delta
-    /// encoding against it is allowed (fully redundant, no forced full).
+    /// The last committed snapshot of the object, if delta encoding
+    /// against it is allowed (fully redundant, no forced full).
     pub ref_snap: Option<Snapshot>,
     /// The object's payload class (gates lossy quantization).
     pub class: PayloadClass,
@@ -689,6 +709,20 @@ mod tests {
             v.extend_from_slice(&x.to_le_bytes());
         }
         v
+    }
+
+    #[test]
+    fn codec_mode_parses_exactly_raw_and_delta() {
+        assert_eq!("raw".parse(), Ok(CodecMode::Raw));
+        assert_eq!("delta".parse(), Ok(CodecMode::Delta));
+        // Any other spelling, `full` included, is invalid: `from_env` warns
+        // and keeps the default instead of guessing.
+        for bad in ["full", "Raw", "DELTA", "", "delta2", "lossy"] {
+            assert_eq!(bad.parse::<CodecMode>(), Err(()), "{bad:?}");
+        }
+        for mode in [CodecMode::Raw, CodecMode::Delta] {
+            assert_eq!(mode.to_string().parse(), Ok(mode), "Display round-trips");
+        }
     }
 
     #[test]

@@ -77,13 +77,6 @@ pub struct ExecutorConfig {
     /// determine the checkpointing interval"). `checkpoint_interval` then
     /// only seeds the first interval.
     pub mttf: Option<Duration>,
-    /// Overlap checkpoint shipping with compute (on by default): `commit`
-    /// promotes the snapshot optimistically and its backup transfers run in
-    /// the background while the next iterations compute; the next settle
-    /// point (the following commit, a recovery, or the end of the run) is
-    /// the barrier that drains them. Turn off for the classic synchronous
-    /// commit barrier.
-    pub overlap_ship: bool,
 }
 
 impl ExecutorConfig {
@@ -94,7 +87,6 @@ impl ExecutorConfig {
             mode,
             max_restores: 8,
             mttf: None,
-            overlap_ship: true,
         }
     }
 
@@ -102,13 +94,6 @@ impl ExecutorConfig {
     /// mean time to failure.
     pub fn with_mttf(mut self, mttf: Duration) -> Self {
         self.mttf = Some(mttf);
-        self
-    }
-
-    /// Toggle checkpoint/compute overlap (see
-    /// [`overlap_ship`](Self::overlap_ship)).
-    pub fn overlap_ship(mut self, overlap: bool) -> Self {
-        self.overlap_ship = overlap;
         self
     }
 }
@@ -205,10 +190,10 @@ pub struct RunStats {
     /// the object locks + owner-side inserts), as accumulated by the app
     /// store's two-phase protocol.
     pub capture_time: Duration,
-    /// Background *ship* busy time (backup transfers), harvested when ship
-    /// threads are joined. With overlap on, this time ran concurrently with
-    /// `step_time` — the overlap saving is roughly
-    /// `ship_time - (checkpoint_time - capture_time)`.
+    /// Background *ship* busy time (backup transfers), harvested when
+    /// `commit` (or a cancelled checkpoint) joins the ship threads. Ships
+    /// run while later saves of the same checkpoint capture, so this can
+    /// exceed `checkpoint_time - capture_time`.
     pub ship_time: Duration,
     /// Wall time spent computing and comparing output digests for
     /// silent-error detection (zero when the app opted out of
@@ -291,8 +276,8 @@ fn charge(col: &mut Duration, total: &mut Duration, d: Duration) {
 }
 
 /// Charge the store's accumulated two-phase split to `row` and the run
-/// totals. Ship time is harvested when ship threads are joined, so with
-/// overlap on it mostly belongs to the *previous* checkpoint's transfers.
+/// totals. Ship time is harvested when ship threads are joined, which is
+/// always inside the pass whose checkpoint spawned them.
 fn harvest(store: &mut AppResilientStore, row: &mut IterRow, stats: &mut RunStats) {
     let (capture, ship) = store.take_phases();
     if capture > Duration::ZERO {
@@ -350,42 +335,20 @@ impl ResilientExecutor {
             report: CostReport::default(),
             prev_snap: first_snap,
         };
-        store.set_overlap(self.cfg.overlap_ship);
 
         while !app.is_finished(ctx, st.iteration) {
             let mut row = IterRow { iteration: st.iteration, ..Default::default() };
-            match self.pass(ctx, app, store, &mut st, &mut row) {
-                Ok(()) => {}
-                Err(e) if e.is_recoverable() => {
-                    // Abort a half-taken snapshot (a no-op unless the
-                    // checkpoint phase failed), then roll back.
-                    store.cancel_snapshot(ctx);
-                    row.restore = Some(self.recover(ctx, app, store, &mut st, &e)?);
-                }
-                Err(e) => {
-                    let _ = store.drain(ctx);
+            if let Err(e) = self.pass(ctx, app, store, &mut st, &mut row) {
+                // Abort a half-taken snapshot (a no-op unless the checkpoint
+                // phase failed), charging its ship joins to this row.
+                store.cancel_snapshot(ctx);
+                harvest(store, &mut row, &mut st.stats);
+                if !e.is_recoverable() {
                     return Err(e);
                 }
+                row.restore = Some(self.recover(ctx, app, store, &mut st, &e)?);
             }
             st.close_row(ctx, row);
-        }
-        // End-of-run barrier: settle the last overlap-mode checkpoint. A
-        // dead-place error here is ignored deliberately — the run already
-        // produced its result, and the previous committed snapshot remains
-        // the recovery point for anyone restoring afterwards.
-        let _ = store.drain(ctx);
-        // The barrier lands counter ticks and ship time *after* the last row
-        // closed: a background ship caught mid-flight at that boundary
-        // records its shipped and received bytes on opposite sides of the
-        // snapshot. Fold the residue into the final row so rows still
-        // telescope and the totals only ever see whole transfers (the
-        // failure-free invariant `bytes_received == bytes_shipped` depends
-        // on it).
-        if let Some(last) = st.report.rows.last_mut() {
-            let now = ctx.stats();
-            last.delta = last.delta.merged(&now.since(&st.prev_snap));
-            st.prev_snap = now;
-            harvest(store, last, &mut st.stats);
         }
         st.stats.total_time = start.elapsed();
         st.report.totals = st.prev_snap.since(&first_snap);
@@ -479,12 +442,6 @@ impl ResilientExecutor {
         trigger: &GmlError,
     ) -> GmlResult<RestoreCost> {
         let t0 = Instant::now();
-        // Settle any in-flight overlap-mode checkpoint before reading the
-        // committed snapshot: a provisional snapshot whose ships all landed
-        // (or that is still fully usable) promotes and becomes the rollback
-        // target; one that lost payload is discarded. The drain error
-        // itself is moot — we are already recovering from the failure.
-        let _ = store.drain(ctx);
         let mut attempts: u32 = 0;
         loop {
             if st.restores_left == 0 {

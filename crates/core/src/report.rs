@@ -52,10 +52,9 @@ pub struct IterRow {
     /// under the object locks + owner inserts). `None` when the pass took
     /// no checkpoint or its checkpoint failed before capturing anything.
     pub capture: Option<Duration>,
-    /// Background *ship* busy time harvested by this pass. With overlap on,
-    /// a checkpoint's ships are joined — and therefore show up — at the
-    /// next settle point, typically one checkpoint later; the time itself
-    /// ran concurrently with the steps in between.
+    /// Background *ship* busy time of this pass's checkpoint: `commit` (or
+    /// the cancel of a failed attempt) joins every ship before the pass
+    /// ends, so a checkpoint's ships always land in its own row.
     pub ship: Option<Duration>,
     /// Wall time this pass spent computing and comparing output digests for
     /// silent-error detection (recording after the step plus verification
@@ -141,11 +140,10 @@ impl CostReport {
     /// Render the Table-III-style per-iteration cost table plus a totals
     /// line. `step / ckpt / restore` are wall times; `capture` is the
     /// synchronous serialize-and-insert portion of the checkpoint and
-    /// `ship(t)` the background backup-transfer busy time harvested this
-    /// pass (under overlap it belongs to the previous checkpoint and ran
-    /// concurrently with compute); `detect(t)` is the wall time spent
-    /// computing and comparing output digests for silent-error detection
-    /// (`-` when the app opted out); `ctl` counts place-zero bookkeeping
+    /// `ship(t)` the background backup-transfer busy time of this pass's
+    /// checkpoint; `detect(t)` is the wall time spent computing and
+    /// comparing output digests for silent-error detection (`-` when the
+    /// app opted out); `ctl` counts place-zero bookkeeping
     /// messages; `enc+dec` is codec wall time; `ship / recv` are payload
     /// bytes. `resident / ckptmem` are memory *levels* at the pass's close
     /// boundary (live heap, store-ledger bytes) rather than deltas; both

@@ -2,7 +2,10 @@
 //! a backup killed mid-`save_batch` must abort the checkpoint atomically
 //! (cancelled snapshot, no partial inventory), and a place killed during
 //! the asynchronous ship phase must surface at the commit barrier so the
-//! executor restores from the previous committed snapshot.
+//! executor restores from the previous committed snapshot. `commit` is the
+//! only barrier: once it returns, the store holds exactly the committed
+//! snapshot, and an executor run that fails without recovering leaves no
+//! half-taken snapshot behind.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -108,8 +111,8 @@ impl ResilientIterativeApp for ShipKillerApp {
     }
 
     fn step(&mut self, ctx: &Ctx, _iteration: u64) -> GmlResult<()> {
-        // Make the kill visible before the step runs, so the overlap-on
-        // variant fails deterministically at the very next step.
+        // Reap the killer thread (commit's ship join already waited for the
+        // gate it releases).
         if let Some(killer) = self.killer.take() {
             let _ = killer.join();
         }
@@ -172,9 +175,8 @@ fn ship_killer_app(ctx: &Ctx, group: &PlaceGroup, total: u64, victim: Place) -> 
     }
 }
 
-/// Drill 2 — a place dies during the asynchronous ship phase with overlap
-/// disabled: `commit()` is the barrier, drains the in-flight ship, surfaces
-/// the dead-place error, and the executor cancels the attempt and restores
+/// Drill 2 — a place dies during the asynchronous ship phase: `commit()` is
+/// the barrier, joins the in-flight ship, surfaces the dead-place error, and the executor cancels the attempt and restores
 /// from the previous committed snapshot.
 #[test]
 fn place_killed_during_ship_phase_surfaces_at_commit_and_restores() {
@@ -187,9 +189,7 @@ fn place_killed_during_ship_phase_surfaces_at_commit_and_restores() {
         let mut store = AppResilientStore::make(ctx).unwrap();
         store.set_ship_gate(gate);
 
-        let exec = ResilientExecutor::new(
-            ExecutorConfig::new(3, RestoreMode::Shrink).overlap_ship(false),
-        );
+        let exec = ResilientExecutor::new(ExecutorConfig::new(3, RestoreMode::Shrink));
         let (final_group, stats, report) =
             exec.run_reported(ctx, &mut app, &world, &mut store).unwrap();
 
@@ -339,37 +339,116 @@ fn owner_killed_after_delta_commit_replays_chain_from_backups() {
     );
 }
 
-/// Drill 2, overlap variant — with overlap on (the executor default),
-/// `commit()` promotes optimistically and returns before the parked ship
-/// fails; the next settle point audits the provisional snapshot, finds
-/// every entry still owner-covered (the dead place held backup copies
-/// only), promotes it degraded, and the executor rolls back to *that*
-/// checkpoint instead of the one before it.
+/// One-object app that probes the store right after every successful
+/// commit. With `fail_at_checkpoint = Some(n)`, the n-th checkpoint saves
+/// and then returns a non-recoverable error instead of committing.
+struct CommitProbeApp {
+    v: DupVector,
+    total_iters: u64,
+    checkpoints: u64,
+    fail_at_checkpoint: Option<u64>,
+    /// Per successful commit: the most snapshot ids any one place holds.
+    max_snapshots: Vec<u64>,
+    /// The inventory right after the latest successful commit.
+    committed_inventory: Vec<(u32, bool, u64, u64, u64)>,
+}
+
+impl ResilientIterativeApp for CommitProbeApp {
+    fn is_finished(&self, _ctx: &Ctx, iteration: u64) -> bool {
+        iteration >= self.total_iters
+    }
+
+    fn step(&mut self, ctx: &Ctx, _iteration: u64) -> GmlResult<()> {
+        self.v.apply(ctx, |x| {
+            x.cell_add_scalar(1.0);
+        })
+    }
+
+    fn checkpoint(&mut self, ctx: &Ctx, store: &mut AppResilientStore) -> GmlResult<()> {
+        self.checkpoints += 1;
+        store.start_new_snapshot();
+        store.save(ctx, &self.v)?;
+        if self.fail_at_checkpoint == Some(self.checkpoints) {
+            return Err(GmlError::shape("injected non-recoverable checkpoint error"));
+        }
+        store.commit(ctx)?;
+        self.committed_inventory = inventory_fingerprint(ctx, store);
+        self.max_snapshots
+            .push(self.committed_inventory.iter().map(|inv| inv.3).max().unwrap_or(0));
+        Ok(())
+    }
+
+    fn restore(
+        &mut self,
+        ctx: &Ctx,
+        new_places: &PlaceGroup,
+        store: &mut AppResilientStore,
+        _snapshot_iteration: u64,
+        _rebalance: bool,
+    ) -> GmlResult<()> {
+        self.v.remake(ctx, new_places)?;
+        store.restore(ctx, &mut [&mut self.v])
+    }
+}
+
+fn commit_probe_app(ctx: &Ctx, group: &PlaceGroup, fail_at: Option<u64>) -> CommitProbeApp {
+    CommitProbeApp {
+        v: DupVector::make(ctx, 3, group).unwrap(),
+        total_iters: 6,
+        checkpoints: 0,
+        fail_at_checkpoint: fail_at,
+        max_snapshots: Vec::new(),
+        committed_inventory: Vec::new(),
+    }
+}
+
+/// The default executor checkpointing every iteration through a raw-codec
+/// store: right after each `commit` the store holds exactly one
+/// application snapshot (the retired one is already deleted and no later
+/// one is in flight), and every row receives exactly the bytes it ships,
+/// because each checkpoint's ships join inside its own pass.
 #[test]
-fn ship_failure_under_overlap_settles_degraded_and_restores() {
-    Runtime::run(RuntimeConfig::new(4).resilient(true), |ctx| {
+fn commit_returns_with_exactly_one_snapshot_and_rows_balance_bytes() {
+    Runtime::run(RuntimeConfig::new(3).resilient(true), |ctx| {
         let world = ctx.world();
-        let mut app = ship_killer_app(ctx, &world, 8, Place::new(1));
-        let gate = Arc::clone(&app.gate);
-        let mut store = AppResilientStore::make(ctx).unwrap();
-        store.set_ship_gate(gate);
+        let mut app = commit_probe_app(ctx, &world, None);
+        let mut store = AppResilientStore::make_with_codec(ctx, CodecConfig::raw()).unwrap();
+        let exec = ResilientExecutor::new(ExecutorConfig::new(1, RestoreMode::Shrink));
+        let (_, stats, report) = exec.run_reported(ctx, &mut app, &world, &mut store).unwrap();
 
-        let exec = ResilientExecutor::new(ExecutorConfig::new(3, RestoreMode::Shrink));
-        let (final_group, stats, report) =
-            exec.run_reported(ctx, &mut app, &world, &mut store).unwrap();
+        assert_eq!(stats.checkpoints, 6);
+        assert_eq!(app.max_snapshots, vec![1; 6], "one application snapshot after each commit");
+        for row in &report.rows {
+            assert_eq!(
+                row.delta.bytes_received, row.delta.bytes_shipped,
+                "row for iteration {} split a transfer",
+                row.iteration
+            );
+        }
+        assert!(report.consistent_with_totals());
+    })
+    .unwrap();
+}
 
-        assert_eq!(final_group.len(), 3);
-        assert_eq!(stats.restores, 1);
-        // The iteration-3 checkpoint committed optimistically; the step that
-        // follows it hits the dead place, and recovery's settle promotes the
-        // provisional snapshot (degraded but coherent) before restoring.
-        let restore = report
-            .rows
-            .iter()
-            .find_map(|r| r.restore)
-            .expect("one restore row expected");
-        assert_eq!(restore.rolled_back_to, 3, "degraded snapshot must be promoted and used");
-        assert_eq!(app.v.read_local(ctx).unwrap().get(0), 8.0);
+/// A checkpoint fails with a non-recoverable error after one `save`: the
+/// executor returns the error, but first cancels the half-taken snapshot,
+/// so the store's inventory is exactly the committed snapshot's.
+#[test]
+fn non_recoverable_checkpoint_error_leaves_only_the_committed_snapshot() {
+    Runtime::run(RuntimeConfig::new(3).resilient(true), |ctx| {
+        let world = ctx.world();
+        let mut app = commit_probe_app(ctx, &world, Some(3));
+        let mut store = AppResilientStore::make_with_codec(ctx, delta_codec()).unwrap();
+        let exec = ResilientExecutor::new(ExecutorConfig::new(1, RestoreMode::Shrink));
+
+        let err = exec.run(ctx, &mut app, &world, &mut store).unwrap_err();
+        assert!(!err.is_recoverable(), "{err}");
+        assert_eq!(store.snapshot_iteration(), Some(1), "the second checkpoint stays committed");
+        assert_eq!(
+            inventory_fingerprint(ctx, &store),
+            app.committed_inventory,
+            "the failed attempt left partial inventory behind"
+        );
     })
     .unwrap();
 }

@@ -125,6 +125,10 @@ counters! {
     /// Delta-chain replay included.
     codec_decode_nanos => "gml_ckpt_decode_nanos_total",
         "Wall nanoseconds the checkpoint codec spent decoding frames.";
+    /// Charged at the owning place around each batched backup `at`, so
+    /// saves at different places add up their busy time.
+    ckpt_ship_nanos => "gml_ckpt_ship_nanos_total",
+        "Wall nanoseconds checkpoint saves spent shipping backup copies.";
 }
 
 impl StatsSnapshot {
@@ -143,9 +147,8 @@ impl StatsSnapshot {
         self.zip_with(earlier, u64::saturating_sub)
     }
 
-    /// Counter-wise sum `self + other` — for folding a late-settling delta
-    /// (e.g. background ships joined after the last report row closed) into
-    /// an already-taken delta without losing or double-counting a tick.
+    /// Counter-wise sum `self + other`: undoes [`since`](Self::since), and
+    /// folds a run of row deltas back into the total they were cut from.
     pub fn merged(&self, other: &StatsSnapshot) -> StatsSnapshot {
         self.zip_with(other, |a, b| a + b)
     }

@@ -89,8 +89,9 @@ pub enum SpanKind {
     /// one batched backup transfer; the numeric argument is the total
     /// payload bytes of the batch.
     StoreSaveBatch,
-    /// One deferred checkpoint ship: a batched backup transfer executed in
-    /// the background after the synchronous capture phase returned.
+    /// One checkpoint ship: the batched backup `at` inside
+    /// `ResilientStore::save_batch`, timed at the owning place; the numeric
+    /// argument is the shipped bytes.
     CkptShip,
     /// The receiving-place body of a `Ctx::at` closure: what the remote
     /// place actually executed while the sender's [`SpanKind::At`] span was

@@ -27,8 +27,9 @@ use std::collections::BTreeMap;
 
 /// The files `bench_json` writes, each with a noise factor scaling the base
 /// tolerance: single-threaded codec loops are tight, the kernel pool adds
-/// scheduling variance, and the 4-place checkpoint plane (dispatcher +
-/// ship threads contending for cores) swings hardest run-to-run.
+/// scheduling variance, and the 4-place checkpoint plane (four place
+/// threads plus the dispatcher contending for cores) swings hardest
+/// run-to-run.
 const FILES: [(&str, f64); 3] = [
     ("BENCH_serial_throughput.json", 1.0),
     ("BENCH_kernel_throughput.json", 2.0),
@@ -37,8 +38,8 @@ const FILES: [(&str, f64); 3] = [
 
 /// Keys never compared: host metadata (guard keys, compared exactly),
 /// allocator counters, and values whose relative delta is meaningless —
-/// near-zero baselines, or background busy time that depends entirely on
-/// how the OS interleaved the ship threads.
+/// near-zero baselines, or backup-transfer busy time summed over places
+/// that ship concurrently, which depends on how the OS interleaved them.
 const SKIP_KEYS: [&str; 10] = [
     "workers",
     "available_parallelism",

@@ -11,9 +11,6 @@
 //! PageRank checkpoints are so much cheaper than a full re-save.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use apgas::prelude::*;
@@ -21,7 +18,7 @@ use apgas::prelude::*;
 use crate::codec::{CaptureCtx, CodecConfig};
 use crate::error::{GmlError, GmlResult};
 use crate::snapshot::{Snapshot, Snapshottable};
-use crate::store::{ResilientStore, ShipOrder};
+use crate::store::ResilientStore;
 
 /// One committed (or pending) application snapshot.
 struct AppSnapshot {
@@ -39,95 +36,25 @@ struct AppSnapshot {
     first_snap_id: u64,
 }
 
-/// One background ship thread: executes a saved object's deferred backup
-/// transfers, returning the first error and the thread's busy time.
-type ShipTask = JoinHandle<(GmlResult<()>, Duration)>;
-
 /// Driver-side coordinator for atomic application checkpoints.
 ///
-/// Checkpoints are **two-phase**: `save` runs only the short synchronous
-/// *capture* phase (serialize under the object lock, owner-side inserts),
-/// queueing the backup transfers as [`ShipOrder`]s that a background thread
-/// executes — the *ship* phase, which runs while later saves capture.
-/// `commit` is the only barrier: it joins every ship of the snapshot,
-/// failing atomically if one of them hit a dead place, then promotes the
-/// snapshot and deletes the retired one before it returns. So at most one
-/// committed application snapshot (plus the pending attempt) is ever held.
+/// `save` is synchronous: when it returns, every place has serialized its
+/// part of the object, inserted the owner copy and shipped the backup copy
+/// (one batched `at` per place, inside [`ResilientStore::save_batch`]). A
+/// dead backup fails the `save`. `commit` promotes the snapshot and deletes
+/// the retired one before it returns, so at most one committed application
+/// snapshot (plus the pending attempt) is ever held.
 pub struct AppResilientStore {
     store: ResilientStore,
     committed: Option<AppSnapshot>,
     pending: Option<AppSnapshot>,
-    pending_ships: Vec<ShipTask>,
     current_iteration: u64,
     capture_time: Duration,
-    ship_time: Duration,
-    ship_gate: Option<Arc<AtomicBool>>,
     /// Snap ids that are *delta bases* of the committed snapshot's chains —
     /// older snapshots' ids kept alive past their own retirement because a
     /// committed delta frame still references them. Swept by the chain-aware
-    /// GC in `promote` once no live chain needs them.
+    /// GC in `commit` once no live chain needs them.
     retained_chain: HashSet<u64>,
-}
-
-/// Spawn the ship phase for one saved object: a thread executing its
-/// deferred backup transfers through a cloned [`Ctx`] (the documented
-/// helper-thread pattern) while the driver goes on computing.
-fn spawn_ship(
-    ctx: &Ctx,
-    store: &ResilientStore,
-    orders: Vec<ShipOrder>,
-    gate: Option<Arc<AtomicBool>>,
-) -> ShipTask {
-    let ctx = ctx.clone();
-    let store = store.clone();
-    std::thread::spawn(move || {
-        let t0 = Instant::now();
-        if let Some(gate) = gate {
-            // Failure-drill hook: park until the test releases the gate.
-            while gate.load(Ordering::Acquire) {
-                std::thread::sleep(Duration::from_micros(200));
-            }
-        }
-        let mut res = Ok(());
-        for order in orders {
-            if let Err(e) = store.execute_ship(&ctx, order) {
-                res = Err(e);
-                break;
-            }
-        }
-        (res, t0.elapsed())
-    })
-}
-
-/// Join every ship task, accumulating busy time into `ship_time` and
-/// returning the first error — preferring a recoverable (dead-place) one,
-/// since that is what the executor can act on.
-fn join_ships(ships: Vec<ShipTask>, ship_time: &mut Duration) -> GmlResult<()> {
-    let mut first_err: Option<GmlError> = None;
-    for task in ships {
-        match task.join() {
-            Ok((res, busy)) => {
-                *ship_time += busy;
-                if let Err(e) = res {
-                    let replace = match &first_err {
-                        None => true,
-                        Some(f) => !f.is_recoverable() && e.is_recoverable(),
-                    };
-                    if replace {
-                        first_err = Some(e);
-                    }
-                }
-            }
-            Err(_) => {
-                first_err
-                    .get_or_insert_with(|| GmlError::shape("checkpoint ship thread panicked"));
-            }
-        }
-    }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
 }
 
 impl AppResilientStore {
@@ -159,32 +86,16 @@ impl AppResilientStore {
             store,
             committed: None,
             pending: None,
-            pending_ships: Vec::new(),
             current_iteration: 0,
             capture_time: Duration::ZERO,
-            ship_time: Duration::ZERO,
-            ship_gate: None,
             retained_chain: HashSet::new(),
         }
     }
 
-    /// Test hook: while the gate is `true`, ship threads park before
-    /// executing their transfers — lets failure drills deterministically
-    /// kill a place "during the async ship phase".
-    #[doc(hidden)]
-    pub fn set_ship_gate(&mut self, gate: Arc<AtomicBool>) {
-        self.ship_gate = Some(gate);
-    }
-
-    /// Harvest and reset the accumulated capture/ship phase times. Capture
-    /// is save-side wall time; ship is background-thread busy time,
-    /// harvested when ships are *joined* (by `commit` or
-    /// `cancel_snapshot`).
-    pub fn take_phases(&mut self) -> (Duration, Duration) {
-        (
-            std::mem::take(&mut self.capture_time),
-            std::mem::take(&mut self.ship_time),
-        )
+    /// Harvest and reset the accumulated capture time: the wall time of
+    /// every `save` since the last harvest, backup transfers included.
+    pub fn take_capture_time(&mut self) -> Duration {
+        std::mem::take(&mut self.capture_time)
     }
 
     /// The underlying key/value store.
@@ -208,11 +119,9 @@ impl AppResilientStore {
         });
     }
 
-    /// Snapshot `obj` into the pending application snapshot.
-    ///
-    /// This is the **capture** phase only: the object serializes under its
-    /// lock and inserts the owner copies; the backup transfers it queued are
-    /// handed to a background ship thread before this method returns.
+    /// Snapshot `obj` into the pending application snapshot: the object
+    /// serializes under its lock, and every place inserts its owner copy
+    /// and ships its backup copy before this method returns.
     pub fn save(&mut self, ctx: &Ctx, obj: &dyn Snapshottable) -> GmlResult<()> {
         let t0 = Instant::now();
         // Delta base for the codec: the committed snapshot of this same
@@ -233,13 +142,11 @@ impl AppResilientStore {
         };
         self.store
             .begin_capture(CaptureCtx { ref_snap: ref_snap.clone(), class: obj.payload_class() });
-        self.store.begin_deferred_ships();
         let result = obj.make_snapshot(ctx, &self.store);
-        let orders = self.store.take_deferred_ships();
         let used_delta = self.store.end_capture();
         self.capture_time += t0.elapsed();
-        // On failure the queued orders are dropped unexecuted; the
-        // watermark in `cancel_snapshot` wipes the partial owner inserts.
+        // On failure the watermark in `cancel_snapshot` wipes the partial
+        // inserts.
         let mut snap = result?;
         if used_delta {
             // At least one place emitted a delta frame: this snapshot's
@@ -249,9 +156,6 @@ impl AppResilientStore {
                 snap.chain = base.chain.clone();
                 snap.chain.push(base.snap_id);
             }
-        }
-        if !orders.is_empty() {
-            self.pending_ships.push(spawn_ship(ctx, &self.store, orders, self.ship_gate.clone()));
         }
         let pending = self
             .pending
@@ -285,33 +189,16 @@ impl AppResilientStore {
     }
 
     /// Atomically promote the pending snapshot to committed and delete the
-    /// retired one's entries (except those reused by the new snapshot).
-    ///
-    /// This is also the **ship barrier**: it joins every in-flight ship of
-    /// the pending snapshot first, so a ship that hit a dead place fails
-    /// the commit atomically and the previous snapshot stays committed.
+    /// retired one's entries (except those the new snapshot reuses, and
+    /// except delta-chain bases its frames still reference). A base and its
+    /// deltas promote or retire **atomically**: a chain id is deleted only
+    /// once no live snapshot — head or chain — needs it.
     pub fn commit(&mut self, ctx: &Ctx) -> GmlResult<()> {
         let pending = self
             .pending
             .take()
             .ok_or_else(|| GmlError::shape("commit() before start_new_snapshot()"))?;
-        let ships = std::mem::take(&mut self.pending_ships);
-        if let Err(e) = join_ships(ships, &mut self.ship_time) {
-            // Put the attempt back so cancel_snapshot can clean it up.
-            self.pending = Some(pending);
-            return Err(e);
-        }
-        self.promote(ctx, pending);
-        Ok(())
-    }
-
-    /// Replace `committed` with `snap` and delete the retired snapshot's
-    /// entries (except those `snap` reuses, and except delta-chain bases the
-    /// new snapshot's frames still reference). A base and its deltas promote
-    /// or retire **atomically**: a chain id is deleted only once no live
-    /// snapshot — head or chain — needs it.
-    fn promote(&mut self, ctx: &Ctx, snap: AppSnapshot) {
-        let old = self.committed.replace(snap);
+        let old = self.committed.replace(pending);
         let new = self.committed.as_ref().expect("just replaced");
         let mut keep: HashSet<u64> = new.map.values().map(|s| s.snap_id).collect();
         for s in new.map.values() {
@@ -338,17 +225,13 @@ impl AppResilientStore {
         // A snapshot committed cleanly: the post-restore full-base override
         // (if any) has produced its full frames and can lift.
         self.store.clear_force_full();
+        Ok(())
     }
 
     /// Abort the pending snapshot, deleting any entries it created (but not
     /// reused read-only snapshots, which still belong to the committed one).
     pub fn cancel_snapshot(&mut self, ctx: &Ctx) {
         if let Some(pending) = self.pending.take() {
-            // Join this attempt's ship threads first: their orders reference
-            // the ids about to be deleted (execute_ship skips stale orders,
-            // but the join keeps deletion and shipping from racing).
-            let ships = std::mem::take(&mut self.pending_ships);
-            let _ = join_ships(ships, &mut self.ship_time);
             // Watermark delete: every id the attempt allocated, including
             // ids burned by saves that failed before their snapshot entered
             // the map. Deleting is best-effort cleanup.
@@ -448,6 +331,26 @@ mod tests {
             let v = DupVector::make(ctx, 2, &g).unwrap();
             assert!(store.save(ctx, &v).is_err());
             assert!(store.commit(ctx).is_err());
+        });
+    }
+
+    #[test]
+    fn save_ships_the_backup_copy_before_it_returns() {
+        run(2, |ctx| {
+            let g = ctx.world();
+            let mut store = AppResilientStore::make(ctx).unwrap();
+            let v = DupVector::make(ctx, 4, &g).unwrap();
+            // The DupVector's owner is place 0; its backup is place 1.
+            let backup = Place::new(1);
+            store.start_new_snapshot();
+            assert_eq!(store.store().entries_at(ctx, backup).unwrap(), 0);
+            store.save(ctx, &v).unwrap();
+            assert_eq!(
+                store.store().entries_at(ctx, backup).unwrap(),
+                1,
+                "the backup copy must land before save returns, not at commit"
+            );
+            store.commit(ctx).unwrap();
         });
     }
 

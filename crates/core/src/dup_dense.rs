@@ -178,8 +178,8 @@ impl Snapshottable for DupDenseMatrix {
         let store2 = store.clone();
         let len = ctx.at(owner, move |ctx| -> GmlResult<usize> {
             let bytes = ctx.encode(&*plh.local(ctx)?.lock());
-            // A single-entry batch: same transport as the multi-block
-            // objects, so deferred shipping applies uniformly.
+            // A single-entry batch, not `save_pair`: only the batched
+            // transport runs the checkpoint codec.
             store2.save_batch(ctx, snap_id, vec![(0, bytes)], backup)
         })??;
         let builder = SnapshotBuilder::new();

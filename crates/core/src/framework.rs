@@ -186,14 +186,13 @@ pub struct RunStats {
     pub step_time: Duration,
     /// Wall time spent checkpointing.
     pub checkpoint_time: Duration,
-    /// Synchronous *capture* portion of the checkpoints (serialize under
-    /// the object locks + owner-side inserts), as accumulated by the app
-    /// store's two-phase protocol.
+    /// Wall time of the checkpoints' `save` calls (serialize under the
+    /// object locks, owner inserts and backup transfers), as accumulated by
+    /// the app store.
     pub capture_time: Duration,
-    /// Background *ship* busy time (backup transfers), harvested when
-    /// `commit` (or a cancelled checkpoint) joins the ship threads. Ships
-    /// run while later saves of the same checkpoint capture, so this can
-    /// exceed `checkpoint_time - capture_time`.
+    /// Backup-transfer busy time summed over places: the run's
+    /// `ckpt_ship_nanos` counter delta. Places ship concurrently, so this
+    /// can exceed `capture_time`.
     pub ship_time: Duration,
     /// Wall time spent computing and comparing output digests for
     /// silent-error detection (zero when the app opted out of
@@ -275,19 +274,6 @@ fn charge(col: &mut Duration, total: &mut Duration, d: Duration) {
     *total += d;
 }
 
-/// Charge the store's accumulated two-phase split to `row` and the run
-/// totals. Ship time is harvested when ship threads are joined, which is
-/// always inside the pass whose checkpoint spawned them.
-fn harvest(store: &mut AppResilientStore, row: &mut IterRow, stats: &mut RunStats) {
-    let (capture, ship) = store.take_phases();
-    if capture > Duration::ZERO {
-        charge(row.capture.get_or_insert_default(), &mut stats.capture_time, capture);
-    }
-    if ship > Duration::ZERO {
-        charge(row.ship.get_or_insert_default(), &mut stats.ship_time, ship);
-    }
-}
-
 impl ResilientExecutor {
     /// Create a new instance.
     pub fn new(cfg: ExecutorConfig) -> Self {
@@ -340,9 +326,8 @@ impl ResilientExecutor {
             let mut row = IterRow { iteration: st.iteration, ..Default::default() };
             if let Err(e) = self.pass(ctx, app, store, &mut st, &mut row) {
                 // Abort a half-taken snapshot (a no-op unless the checkpoint
-                // phase failed), charging its ship joins to this row.
+                // phase failed).
                 store.cancel_snapshot(ctx);
-                harvest(store, &mut row, &mut st.stats);
                 if !e.is_recoverable() {
                     return Err(e);
                 }
@@ -352,6 +337,7 @@ impl ResilientExecutor {
         }
         st.stats.total_time = start.elapsed();
         st.report.totals = st.prev_snap.since(&first_snap);
+        st.stats.ship_time = Duration::from_nanos(st.report.totals.ckpt_ship_nanos);
         st.report.codec_totals = CodecSnapshot::from(&st.report.totals);
         Ok((st.group, st.stats, st.report))
     }
@@ -389,7 +375,10 @@ impl ResilientExecutor {
                 let _span = ctx.trace_span(SpanKind::Checkpoint, it);
                 app.checkpoint(ctx, store)
             });
-            harvest(store, row, &mut st.stats);
+            let capture = store.take_capture_time();
+            if capture > Duration::ZERO {
+                charge(row.capture.get_or_insert_default(), &mut st.stats.capture_time, capture);
+            }
             result?;
             st.stats.checkpoints += 1;
             if let Some(mttf) = self.cfg.mttf {
@@ -1314,7 +1303,13 @@ mod tests {
                 assert_eq!(sum(|r| Some(r.step)), stats.step_time);
                 assert_eq!(sum(|r| r.checkpoint), stats.checkpoint_time);
                 assert_eq!(sum(|r| r.capture), stats.capture_time);
-                assert_eq!(sum(|r| r.ship), stats.ship_time);
+                assert_eq!(Duration::from_nanos(report.summed().ckpt_ship_nanos), stats.ship_time);
+                // No place dies inside a checkpoint here, so every row that
+                // took one committed it, and its backup transfer was timed.
+                let ckpt_rows: Vec<&IterRow> =
+                    report.rows.iter().filter(|r| r.checkpoint.is_some()).collect();
+                assert_eq!(ckpt_rows.len() as u64, stats.checkpoints);
+                assert!(ckpt_rows.iter().all(|r| r.delta.ckpt_ship_nanos > 0));
                 assert_eq!(sum(|r| r.detect), stats.detect_time);
                 assert_eq!(sum(|r| r.restore.map(|c| c.time)), stats.restore_time);
                 assert_eq!(report.restores(), stats.restores);

@@ -48,14 +48,11 @@ pub struct IterRow {
     /// Wall time of the checkpoint taken this pass, if any (failed,
     /// cancelled checkpoints included — their cost is real).
     pub checkpoint: Option<Duration>,
-    /// Synchronous *capture* portion of this pass's checkpoint (serialize
-    /// under the object locks + owner inserts). `None` when the pass took
-    /// no checkpoint or its checkpoint failed before capturing anything.
+    /// Wall time of this pass's checkpoint `save` calls (serialize under
+    /// the object locks, owner inserts and backup transfers). `None` when
+    /// the pass took no checkpoint or its checkpoint failed before saving
+    /// anything.
     pub capture: Option<Duration>,
-    /// Background *ship* busy time of this pass's checkpoint: `commit` (or
-    /// the cancel of a failed attempt) joins every ship before the pass
-    /// ends, so a checkpoint's ships always land in its own row.
-    pub ship: Option<Duration>,
     /// Wall time this pass spent computing and comparing output digests for
     /// silent-error detection (recording after the step plus verification
     /// before the checkpoint commit). `None` when the app opted out of
@@ -75,7 +72,8 @@ pub struct IterRow {
     pub ckpt_bytes: u64,
     /// Runtime counter deltas consumed by this pass, checkpoint-codec
     /// traffic (`ckpt_logical_bytes`, `ckpt_wire_bytes`, frame counts,
-    /// `codec_encode_nanos` / `codec_decode_nanos`) included.
+    /// `codec_encode_nanos` / `codec_decode_nanos`) and backup-transfer
+    /// busy time (`ckpt_ship_nanos`) included.
     pub delta: StatsSnapshot,
     /// Cross-place critical-path profile of this pass's step window,
     /// reconstructed from the trace rings. `None` when tracing is off or
@@ -138,10 +136,10 @@ impl CostReport {
     }
 
     /// Render the Table-III-style per-iteration cost table plus a totals
-    /// line. `step / ckpt / restore` are wall times; `capture` is the
-    /// synchronous serialize-and-insert portion of the checkpoint and
-    /// `ship(t)` the background backup-transfer busy time of this pass's
-    /// checkpoint; `detect(t)` is the wall time spent computing and
+    /// line. `step / ckpt / restore` are wall times; `capture` is the wall
+    /// time of the checkpoint's saves, backup transfers included, and
+    /// `ship(t)` the backup-transfer busy time summed over places
+    /// (`ckpt_ship_nanos`); `detect(t)` is the wall time spent computing and
     /// comparing output digests for silent-error detection (`-` when the
     /// app opted out); `ctl` counts place-zero bookkeeping
     /// messages; `enc+dec` is codec wall time; `ship / recv` are payload
@@ -181,7 +179,7 @@ impl CostReport {
                 fmt_nanos(r.step.as_nanos() as u64),
                 opt(r.checkpoint),
                 opt(r.capture),
-                opt(r.ship),
+                fmt_nanos(r.delta.ckpt_ship_nanos),
                 opt(r.detect),
                 restore,
                 r.delta.ctl_total(),
@@ -284,7 +282,6 @@ mod tests {
             step: Duration::from_millis(1),
             checkpoint: None,
             capture: None,
-            ship: None,
             detect: None,
             restore: None,
             resident: 0,
@@ -320,7 +317,7 @@ mod tests {
         let mut r = row(7, 2048, 2048, 1);
         r.checkpoint = Some(Duration::from_millis(3));
         r.capture = Some(Duration::from_millis(2));
-        r.ship = Some(Duration::from_millis(1));
+        r.delta.ckpt_ship_nanos = 1_000_000;
         r.restore = Some(RestoreCost {
             label: "shrink_rebalance",
             rebalance: true,
@@ -338,8 +335,8 @@ mod tests {
         assert!(text.contains("shrink_rebalance"));
         assert!(text.contains("→it5"));
         assert!(text.contains("2.0KB"));
-        assert!(text.contains("capture"), "two-phase capture column present");
-        assert!(text.contains("ship(t)"), "two-phase ship-time column present");
+        assert!(text.contains("capture"), "capture column present");
+        assert!(text.contains("ship(t)"), "ship-time column present");
         assert_eq!(report.restores(), 1);
     }
 

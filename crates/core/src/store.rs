@@ -174,31 +174,6 @@ impl SnapshotAudit {
     }
 }
 
-/// One deferred backup transfer: everything needed to ship a place's batch
-/// of snapshot entries to its backup *after* the synchronous capture phase
-/// has returned. The payloads themselves stay in the owner's shard (they
-/// were inserted during capture); the order re-reads them by key at ship
-/// time, so the order itself carries only metadata.
-#[derive(Clone, Debug)]
-pub(crate) struct ShipOrder {
-    pub(crate) snap_id: u64,
-    pub(crate) owner: Place,
-    pub(crate) backup: Place,
-    pub(crate) keys: Vec<u64>,
-    /// Total payload bytes (for spans; the authoritative sizes live in the
-    /// shard).
-    pub(crate) total: usize,
-}
-
-/// Shared ship-deferral state: while `defer` is set, `save_batch` queues
-/// [`ShipOrder`]s instead of performing backup transfers inline. Shared via
-/// `Arc` across the store clones that collectives carry into remote tasks,
-/// so capture tasks at every place feed one queue.
-struct ShipState {
-    defer: std::sync::atomic::AtomicBool,
-    queue: Mutex<Vec<ShipOrder>>,
-}
-
 /// Handle to the distributed double in-memory store. Cheap to clone and
 /// `Send`, so collectives can carry it into remote tasks.
 #[derive(Clone)]
@@ -213,7 +188,6 @@ pub struct ResilientStore {
     /// reference path (`save_pair` per entry) — kept for the CI parity check
     /// that proves batching is a pure transport optimisation.
     batched: bool,
-    ships: Arc<ShipState>,
     /// The checkpoint codec plane (delta frames + compression). Shared by
     /// every clone, so capture context set by the app driver is visible to
     /// the per-place save tasks. Bare stores run with the codec off
@@ -260,10 +234,6 @@ impl ResilientStore {
             // The codec plane only hooks the batched transport; the per-pair
             // reference path stays byte-for-byte raw.
             batched: batched || !config.is_raw(),
-            ships: Arc::new(ShipState {
-                defer: std::sync::atomic::AtomicBool::new(false),
-                queue: Mutex::new(Vec::new()),
-            }),
             codec: Arc::new(CodecState::new(config)),
         })
     }
@@ -402,12 +372,6 @@ impl ResilientStore {
     /// entry (the `checkpoint_parity` CI step enforces this bit-for-bit);
     /// only the transport differs. With batching disabled
     /// ([`make_with_batching`](Self::make_with_batching)) it *is* that loop.
-    ///
-    /// While ship deferral is active (the two-phase checkpoint pipeline in
-    /// `AppResilientStore`), the backup transfer is queued as a
-    /// [`ShipOrder`] instead of executed inline; the dead-backup fail-fast
-    /// below still applies, so capture-time saves surface a backup that was
-    /// already dead exactly like the per-pair path does.
     pub fn save_batch(
         &self,
         ctx: &Ctx,
@@ -428,32 +392,21 @@ impl ResilientStore {
         // Codec plane: frame the batch (delta + compression) before it is
         // stored or shipped. The raw store bypasses this entirely, keeping
         // bare stores byte-for-byte identical to the pre-codec behavior.
-        let stored = self.encode_batch(ctx, snap_id, entries, backup)?;
+        let stored = self.encode_batch(ctx, entries, backup)?;
         for (key, entry) in &stored {
             // Owner copies: refcount bumps only, as in `save_pair`.
             shard.insert(snap_id, *key, entry.clone());
         }
         if self.redundant && backup != ctx.here() && !stored.is_empty() {
             // Fail fast on a backup that is already dead, so the enclosing
-            // checkpoint aborts at save time (atomic cancel) rather than at
-            // the ship barrier. A death *after* this check is caught by the
-            // transfer itself.
+            // checkpoint aborts before paying for the transfer. A death
+            // *after* this check is caught by the transfer's own `at`.
             if !ctx.is_alive(backup) {
                 return Err(GmlError::from(apgas::ApgasError::DeadPlace(
                     apgas::DeadPlaceException::new(backup, "backup died before batch ship"),
                 )));
             }
-            if self.ships.defer.load(Ordering::Acquire) {
-                self.ships.queue.lock().push(ShipOrder {
-                    snap_id,
-                    owner: ctx.here(),
-                    backup,
-                    keys: stored.iter().map(|(k, _)| *k).collect(),
-                    total: stored.iter().map(|(_, e)| e.bytes.len()).sum(),
-                });
-            } else {
-                self.ship_entries(ctx, snap_id, stored, backup)?;
-            }
+            self.ship_entries(ctx, snap_id, stored, backup)?;
         }
         Ok(total)
     }
@@ -466,7 +419,6 @@ impl ResilientStore {
     fn encode_batch(
         &self,
         ctx: &Ctx,
-        _snap_id: u64,
         entries: Vec<(u64, Bytes)>,
         backup: Place,
     ) -> GmlResult<Vec<(u64, StoredEntry)>> {
@@ -546,7 +498,8 @@ impl ResilientStore {
     }
 
     /// The batched backup transfer: one `at` to `backup` carrying the whole
-    /// frame of `(key, stored entry)` pairs. Runs at the owning place.
+    /// frame of `(key, stored entry)` pairs. Runs at the owning place, which
+    /// is charged the round trip's wall time in `ckpt_ship_nanos`.
     fn ship_entries(
         &self,
         ctx: &Ctx,
@@ -560,14 +513,16 @@ impl ResilientStore {
         let total: usize = entries.iter().map(|(_, e)| e.bytes.len()).sum();
         let store = self.clone();
         ctx.record_bytes(total);
+        let _span = ctx.trace_span(SpanKind::CkptShip, total as u64);
         // Causal context rides the batch frame as a real 12-byte serialized
         // header (`TraceCtx: Serial`) and is decoded + adopted before the
         // receiving side does its work, so the backup's copies link back to
-        // the owning place's save span. Trace plumbing, not payload: the
+        // the owning place's ship span. Trace plumbing, not payload: the
         // header is deliberately excluded from `record_bytes` accounting,
         // as is the per-entry framed/logical metadata.
         let header = TraceCtx::capture(ctx.tracer(), ctx.here().id()).to_bytes();
-        ctx.at(backup, move |ctx| -> GmlResult<()> {
+        let t0 = Instant::now();
+        let shipped = ctx.at(backup, move |ctx| -> GmlResult<()> {
             let _adopt = TraceCtx::from_bytes(header).adopt();
             let shard = store.shard(ctx)?;
             for (key, entry) in entries {
@@ -587,42 +542,9 @@ impl ResilientStore {
                 );
             }
             Ok(())
-        })??;
-        Ok(())
-    }
-
-    /// Start queueing backup transfers instead of executing them inline
-    /// (capture phase of the two-phase checkpoint).
-    pub(crate) fn begin_deferred_ships(&self) {
-        self.ships.defer.store(true, Ordering::Release);
-    }
-
-    /// Stop queueing and take every order accumulated since
-    /// [`begin_deferred_ships`](Self::begin_deferred_ships).
-    pub(crate) fn take_deferred_ships(&self) -> Vec<ShipOrder> {
-        self.ships.defer.store(false, Ordering::Release);
-        std::mem::take(&mut *self.ships.queue.lock())
-    }
-
-    /// Execute one deferred backup transfer: re-read the captured payloads
-    /// from the owner's shard and run the batched ship. Callable from any
-    /// place (the checkpoint pipeline runs it from a driver-side helper
-    /// thread while the next iteration computes).
-    pub(crate) fn execute_ship(&self, ctx: &Ctx, order: ShipOrder) -> GmlResult<()> {
-        let _span = ctx.trace_span(SpanKind::CkptShip, order.total as u64);
-        let store = self.clone();
-        ctx.at(order.owner, move |ctx| -> GmlResult<()> {
-            let shard = store.shard(ctx)?;
-            let entries: Vec<(u64, StoredEntry)> = order
-                .keys
-                .iter()
-                // A missing key means the snapshot was cancelled between
-                // capture and ship; the order is stale and skipping is the
-                // correct quiet outcome.
-                .filter_map(|&k| shard.get(order.snap_id, k).map(|v| (k, v)))
-                .collect();
-            store.ship_entries(ctx, order.snap_id, entries, order.backup)
-        })??;
+        });
+        ctx.count(|s| &s.ckpt_ship_nanos, t0.elapsed().as_nanos() as u64);
+        shipped??;
         Ok(())
     }
 
@@ -1313,28 +1235,6 @@ mod tests {
             }
         })
         .unwrap();
-    }
-
-    #[test]
-    fn deferred_ships_queue_then_execute() {
-        with_store(2, 0, |ctx, store| {
-            let sid = store.fresh_snap_id();
-            store.begin_deferred_ships();
-            let before = ctx.stats().bytes_shipped;
-            store
-                .save_batch(ctx, sid, vec![(0, Bytes::from(vec![9u8; 256]))], Place::new(1))
-                .unwrap();
-            // Capture inserted the owner copy but shipped nothing yet.
-            assert_eq!(ctx.stats().bytes_shipped - before, 0, "ship deferred");
-            assert_eq!(store.entries_at(ctx, Place::new(1)).unwrap(), 0);
-            let orders = store.take_deferred_ships();
-            assert_eq!(orders.len(), 1);
-            for order in orders {
-                store.execute_ship(ctx, order).unwrap();
-            }
-            assert_eq!(ctx.stats().bytes_shipped - before, 256, "ship ran");
-            assert_eq!(store.entries_at(ctx, Place::new(1)).unwrap(), 1);
-        });
     }
 
     #[test]

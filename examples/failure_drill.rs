@@ -50,10 +50,8 @@ fn layout_report(label: &str, m: &DistBlockMatrix) {
 
 /// A minimal executor-driven app: each step halves the matrix and reduces
 /// its Frobenius norm (a collective, so a dead place surfaces here). At
-/// `slow_at` it turns `straggler` into an artificial laggard for ~300ms —
-/// the same doc-hidden gate idiom `tests/checkpoint_pipeline.rs` uses to
-/// park ship threads — so the watchdog's iteration-regression anomaly has
-/// something real to catch.
+/// `slow_at` it turns `straggler` into an artificial laggard for ~300ms, so
+/// the watchdog's iteration-regression anomaly has something real to catch.
 struct NormDrill {
     m: DistBlockMatrix,
     iters: u64,

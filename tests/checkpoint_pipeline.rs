@@ -1,15 +1,13 @@
-//! Failure drills for the two-phase (capture/ship) checkpoint pipeline:
-//! a backup killed mid-`save_batch` must abort the checkpoint atomically
-//! (cancelled snapshot, no partial inventory), and a place killed during
-//! the asynchronous ship phase must surface at the commit barrier so the
-//! executor restores from the previous committed snapshot. `commit` is the
-//! only barrier: once it returns, the store holds exactly the committed
+//! Failure drills for the checkpoint pipeline, where each `save` ships its
+//! backup copies before it returns: a backup killed mid-`save_batch` must
+//! abort the checkpoint atomically (cancelled snapshot, no partial
+//! inventory), and a backup killed inside the app's `checkpoint` must fail
+//! that `save` so the executor restores from the previous committed
+//! snapshot. Once `commit` returns, the store holds exactly the committed
 //! snapshot, and an executor run that fails without recovering leaves no
 //! half-taken snapshot behind.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use resilient_gml::prelude::*;
 
@@ -91,31 +89,22 @@ fn backup_killed_mid_batch_aborts_checkpoint_atomically() {
     .unwrap();
 }
 
-/// Counter app whose second checkpoint parks its ship threads behind a
-/// gate, kills `victim` from a helper thread, and only then releases the
-/// gate — so the backup transfer always runs against a dead place.
-struct ShipKillerApp {
+/// Counter app whose second checkpoint kills `victim` after
+/// `start_new_snapshot` and before `save`, so that `save` runs against a
+/// dead backup.
+struct BackupKillerApp {
     v: DupVector,
-    group: PlaceGroup,
     total_iters: u64,
-    gate: Arc<AtomicBool>,
     victim: Place,
     checkpoints: u64,
-    armed: bool,
-    killer: Option<JoinHandle<()>>,
 }
 
-impl ResilientIterativeApp for ShipKillerApp {
+impl ResilientIterativeApp for BackupKillerApp {
     fn is_finished(&self, _ctx: &Ctx, iteration: u64) -> bool {
         iteration >= self.total_iters
     }
 
     fn step(&mut self, ctx: &Ctx, _iteration: u64) -> GmlResult<()> {
-        // Reap the killer thread (commit's ship join already waited for the
-        // gate it releases).
-        if let Some(killer) = self.killer.take() {
-            let _ = killer.join();
-        }
         self.v.apply(ctx, |x| {
             x.cell_add_scalar(1.0);
         })
@@ -124,25 +113,10 @@ impl ResilientIterativeApp for ShipKillerApp {
     fn checkpoint(&mut self, ctx: &Ctx, store: &mut AppResilientStore) -> GmlResult<()> {
         store.start_new_snapshot();
         self.checkpoints += 1;
-        let arm = self.checkpoints == 2 && !self.armed;
-        if arm {
-            // Park the ship threads this save is about to spawn.
-            self.gate.store(true, Ordering::Release);
+        if self.checkpoints == 2 {
+            ctx.kill_place(self.victim)?;
         }
-        let saved = store.save(ctx, &self.v);
-        if arm {
-            self.armed = true;
-            let ctx2 = ctx.clone();
-            let gate = Arc::clone(&self.gate);
-            let victim = self.victim;
-            // Kill strictly before release: the parked ship can only run
-            // against a dead backup.
-            self.killer = Some(std::thread::spawn(move || {
-                let _ = ctx2.kill_place(victim);
-                gate.store(false, Ordering::Release);
-            }));
-        }
-        saved?;
+        store.save(ctx, &self.v)?;
         store.commit(ctx)
     }
 
@@ -155,39 +129,26 @@ impl ResilientIterativeApp for ShipKillerApp {
         _rebalance: bool,
     ) -> GmlResult<()> {
         self.v.remake(ctx, new_places)?;
-        store.restore(ctx, &mut [&mut self.v])?;
-        self.group = new_places.clone();
-        Ok(())
+        store.restore(ctx, &mut [&mut self.v])
     }
 }
 
-fn ship_killer_app(ctx: &Ctx, group: &PlaceGroup, total: u64, victim: Place) -> ShipKillerApp {
-    let v = DupVector::make(ctx, 3, group).unwrap();
-    ShipKillerApp {
-        v,
-        group: group.clone(),
-        total_iters: total,
-        gate: Arc::new(AtomicBool::new(false)),
-        victim,
-        checkpoints: 0,
-        armed: false,
-        killer: None,
-    }
-}
-
-/// Drill 2 — a place dies during the asynchronous ship phase: `commit()` is
-/// the barrier, joins the in-flight ship, surfaces the dead-place error, and the executor cancels the attempt and restores
-/// from the previous committed snapshot.
+/// Drill 2 — the backup place dies inside the app's `checkpoint`, between
+/// `start_new_snapshot` and `save`: the `save` fails, the executor cancels
+/// the attempt and restores from the previous committed snapshot.
 #[test]
-fn place_killed_during_ship_phase_surfaces_at_commit_and_restores() {
+fn backup_killed_before_save_fails_the_checkpoint_and_restores() {
     Runtime::run(RuntimeConfig::new(4).resilient(true), |ctx| {
         let world = ctx.world();
         // The DupVector master lives at place 0; place 1 is its backup —
-        // killing it fails the ship, not the capture.
-        let mut app = ship_killer_app(ctx, &world, 8, Place::new(1));
-        let gate = Arc::clone(&app.gate);
+        // killing it fails the backup transfer, not the owner's serialize.
+        let mut app = BackupKillerApp {
+            v: DupVector::make(ctx, 3, &world).unwrap(),
+            total_iters: 8,
+            victim: Place::new(1),
+            checkpoints: 0,
+        };
         let mut store = AppResilientStore::make(ctx).unwrap();
-        store.set_ship_gate(gate);
 
         let exec = ResilientExecutor::new(ExecutorConfig::new(3, RestoreMode::Shrink));
         let (final_group, stats, report) =
@@ -195,7 +156,7 @@ fn place_killed_during_ship_phase_surfaces_at_commit_and_restores() {
 
         assert_eq!(final_group.len(), 3);
         assert_eq!(stats.restores, 1);
-        // commit() failed at the iteration-3 checkpoint, so the rollback
+        // The save failed at the iteration-3 checkpoint, so the rollback
         // target is the previous committed snapshot: iteration 0.
         let restore = report
             .rows
